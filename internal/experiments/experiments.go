@@ -296,11 +296,11 @@ func E5DP6(maxStates int) (*Table, error) {
 	t.AddRow("model check: dedup hits / states per second",
 		fmt.Sprintf("%d / %.0f", rep.Stats.DedupHits, rep.Stats.StatesPerSec))
 
-	// Capacity headline: the sharded index (per-worker shards, BFS-parent
-	// delta keys, disk spill allowed) closes the full 8.5M-state table
-	// that the single in-memory index above cannot afford. At least four
-	// shards even on small hosts, so the sharded pipeline itself — not
-	// the sequential fallback — is what closes the space.
+	// Capacity headline: the sharded index (one shard per worker,
+	// BFS-parent delta keys, disk spill allowed) closes the full
+	// 8.5M-state table that the single in-memory index above cannot
+	// afford. At least four workers even on small hosts, so parallel
+	// staging over four shards is what closes the space.
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
@@ -308,7 +308,6 @@ func E5DP6(maxStates int) (*Table, error) {
 	repSh, err := dining.CheckWith(s, prog, mc.Options{
 		MaxStates:     maxStates,
 		Workers:       workers,
-		Shards:        workers,
 		HotIndexBytes: 256 << 20,
 		Progress:      MCProgress,
 		Obs:           Obs,

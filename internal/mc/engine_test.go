@@ -182,9 +182,11 @@ func TestProgressCallback(t *testing.T) {
 }
 
 // checkModes runs the same check in every engine mode — sequential,
-// parallel, symmetry-reduced, sharded, and sharded with a spill tier so
-// tight that every finalized index chunk lands on disk — and returns the
-// results keyed by mode name.
+// parallel with an uneven stage partition (3 workers over 4 shards),
+// symmetry-reduced, parallel with one stager per shard, and both the
+// one-shard and the 4-shard index with a spill tier so tight that every
+// finalized index chunk lands on disk — and returns the results keyed by
+// mode name.
 func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Options) map[string]*Result {
 	t.Helper()
 	out := make(map[string]*Result)
@@ -192,21 +194,20 @@ func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Opt
 		name    string
 		sym     bool
 		workers int
-		shards  int
 		hot     int64
 	}{
-		{"seq", false, 0, 0, 0},
-		{"par", false, 4, 0, 0},
-		{"sym", true, 0, 0, 0},
-		{"sym+par", true, 4, 0, 0},
-		{"shard", false, 4, 4, 0},
-		{"shard+sym", true, 4, 4, 0},
-		{"shard+spill", false, 4, 4, 1},
+		{"seq", false, 0, 0},
+		{"par", false, 3, 0},
+		{"sym", true, 0, 0},
+		{"sym+par", true, 3, 0},
+		{"shard", false, 4, 0},
+		{"shard+sym", true, 4, 0},
+		{"shard+spill", false, 4, 1},
+		{"seq+spill", false, 1, 1},
 	} {
 		o := opts
 		o.SymmetryReduce = mode.sym
 		o.Workers = mode.workers
-		o.Shards = mode.shards
 		o.HotIndexBytes = mode.hot
 		if mode.hot > 0 {
 			o.SpillDir = t.TempDir()
@@ -220,8 +221,8 @@ func checkModes(t *testing.T, factory func() (*machine.Machine, error), opts Opt
 	return out
 }
 
-// assertIdentical enforces the parallel engine's label-for-label
-// guarantee against its sequential twin.
+// assertIdentical enforces the checker's label-for-label guarantee
+// across worker counts and spill settings.
 func assertIdentical(t *testing.T, a, b *Result, what string) {
 	t.Helper()
 	if (a.Violation == nil) != (b.Violation == nil) {
@@ -273,6 +274,7 @@ func TestParallelIdenticalToSequential(t *testing.T) {
 			assertIdentical(t, modes["sym"], modes["sym+par"], "sym parallel vs sym sequential")
 			assertIdentical(t, modes["seq"], modes["shard"], "sharded vs sequential")
 			assertIdentical(t, modes["seq"], modes["shard+spill"], "sharded+spill vs sequential")
+			assertIdentical(t, modes["seq"], modes["seq+spill"], "sequential+spill vs sequential")
 			assertIdentical(t, modes["sym"], modes["shard+sym"], "sharded sym vs sym sequential")
 		})
 	}

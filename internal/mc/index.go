@@ -37,11 +37,11 @@ import (
 //     offsets equal logical arena offsets, so spilling never rewrites an
 //     entry.
 //
-// Concurrency contract (the engine's sharded level pipeline): during the
-// staging phase each shard is touched only by its owner goroutine, and
+// Concurrency contract (the checker's level pipeline): during the
+// staging step each shard is touched only by its owner goroutine, and
 // staging never reads another shard — cross-shard work (ancestor
 // resolution, deferred exact comparisons, spilling) happens only on the
-// coordinating goroutine between phases. The index therefore needs no
+// coordinating goroutine between steps. The index therefore needs no
 // locks; determinism comes from reduction, not serialization.
 type stateIndex struct {
 	shards     []indexShard
@@ -64,7 +64,7 @@ type stateIndex struct {
 }
 
 // indexShard holds one hash slice of the visited set. All mutation goes
-// through its owner: the staging goroutine during the parallel phase,
+// through its owner: the staging goroutine during the staging step,
 // the coordinator otherwise.
 type indexShard struct {
 	buckets bucketTable // full key hash -> shard-local entry indices
@@ -160,19 +160,6 @@ func (bt *bucketTable) add(hash uint64, ei int64) {
 	}
 	bt.hashes[sl], bt.eis[sl] = hash, ei
 	bt.n++
-}
-
-// has reports whether any entry is bucketed under hash.
-func (bt *bucketTable) has(hash uint64) bool {
-	if bt.eis == nil {
-		return false
-	}
-	for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
-		if bt.hashes[sl] == hash {
-			return true
-		}
-	}
-	return false
 }
 
 func (bt *bucketTable) grow() {
@@ -295,18 +282,6 @@ func (t *stateIndex) insert(key []byte, hash uint64, ancGID int64, ancKey []byte
 	return t.commitStaged(si, ei)
 }
 
-// stageNew stages key into shard si if and only if its hash bucket is
-// empty, returning the shard-local entry index. A non-empty bucket
-// defers the exact comparison to the coordinator's commit pass — this is
-// what keeps the staging phase free of cross-shard reads. Owner-only.
-func (t *stateIndex) stageNew(si int, key []byte, hash uint64, ancGID int64, ancKey []byte) (ei int64, staged bool) {
-	sh := &t.shards[si]
-	if sh.buckets.has(hash) {
-		return 0, false
-	}
-	return sh.stage(key, hash, ancGID, ancKey), true
-}
-
 // commitStaged assigns the next dense id to a staged entry.
 // Coordinator-only.
 func (t *stateIndex) commitStaged(si int, ei int64) int64 {
@@ -315,12 +290,6 @@ func (t *stateIndex) commitStaged(si int, ei int64) int64 {
 	sh.entries[ei].gid = gid
 	t.where = append(t.where, uint64(si)<<48|uint64(ei))
 	return gid
-}
-
-// entryRef returns a staged or committed entry by shard-local index.
-func (t *stateIndex) entryRef(si int, ei int64) (*indexShard, *entry) {
-	sh := &t.shards[si]
-	return sh, &sh.entries[ei]
 }
 
 // stage appends key to the shard: delta-encoded against ancKey when the

@@ -22,10 +22,12 @@
 //   - Opt-in symmetry reduction (Options.SymmetryReduce) dedups states
 //     modulo the system's automorphism group — the orbit-quotient
 //     construction the paper's symmetry results suggest.
-//   - Opt-in deterministic parallel frontier expansion (Options.Workers)
-//     fans state expansion over a bounded worker pool with an in-order
-//     sequential merge, so results are label-for-label identical to the
-//     sequential engine.
+//   - One level driver (level.go) works through each BFS level in
+//     bounded windows: expansion fans out over Options.Workers
+//     goroutines, the index splits into as many hash-routed shards that
+//     stage new keys in parallel, and a single commit pass in canonical
+//     order keeps verdicts, witnesses and stats identical at any worker
+//     count.
 //   - Stats (states/sec, depth, dedup hits, memory estimate, group
 //     order) are surfaced through Result and a progress callback, and
 //     time/memory/state budgets can degrade gracefully into a partial
@@ -37,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"simsym/internal/autgrp"
@@ -89,23 +92,15 @@ type Options struct {
 	// AutLimit bounds automorphism enumeration for SymmetryReduce;
 	// 0 means the autgrp default.
 	AutLimit int
-	// Workers > 1 expands each BFS level in parallel over that many
-	// goroutines. Successors are merged sequentially in frontier order,
-	// so verdicts, witness schedules, state counts, and stats are
-	// label-for-label identical to the sequential engine; predicates are
-	// only ever called from the merging goroutine.
+	// Workers > 1 expands each BFS level over that many goroutines and
+	// splits the visited index into as many hash-routed shards (rounded
+	// up to a power of two, capped at 256), each staged by one goroutine
+	// without locks or cross-shard reads. Successors are committed in
+	// canonical frontier order, so verdicts, witness schedules, state
+	// counts, and stats are label-for-label identical at any worker
+	// count; predicates are only ever called from the committing
+	// goroutine.
 	Workers int
-	// Shards > 1 selects the sharded level pipeline: the visited index
-	// splits into Shards hash-addressed shards (rounded up to a power of
-	// two, capped at 256) and each BFS level runs as parallel expansion,
-	// parallel per-shard staging (each shard owned by one goroutine, no
-	// locks, no cross-shard reads), and a canonical-order commit pass.
-	// The commit pass processes successors in exactly the frontier order
-	// the sequential merge would, so verdicts, witness schedules, state
-	// counts, and stats stay label-for-label identical to the sequential
-	// engine — determinism by reduction rather than by serializing index
-	// probes. Combine with Workers to parallelize expansion too.
-	Shards int
 	// HotIndexBytes > 0 caps the visited index's in-memory key arenas:
 	// when the hot tier outgrows the cap, cold arena chunks spill FIFO to
 	// per-shard temp files under SpillDir at level boundaries and are
@@ -185,8 +180,8 @@ type Stats struct {
 	// GroupOrder is the automorphism count used for symmetry reduction
 	// (1 when reduction is off or the group is trivial).
 	GroupOrder int
-	// Shards is the visited-index shard count in effect (1 for the
-	// unsharded layout).
+	// Shards is the visited-index shard count in effect: Workers rounded
+	// up to a power of two, capped at 256 (1 for a sequential check).
 	Shards int
 	// DeltaStates counts visited states whose key is stored as a delta
 	// against a BFS ancestor's key rather than in full.
@@ -229,7 +224,7 @@ type node struct {
 }
 
 // succSpan locates one successor's key inside a batch arena, along with
-// the key's hash (computed during expansion, off the merge path).
+// the key's hash (computed during expansion, off the commit path).
 type succSpan struct {
 	start, end int
 	hash       uint64
@@ -238,13 +233,13 @@ type succSpan struct {
 
 // batch is the per-state expansion output: successor machines plus their
 // canonical keys packed into a reusable arena. Batches are reused across
-// levels so steady-state expansion does not allocate per state.
+// windows and levels so steady-state expansion does not allocate per state.
 //
 // pool holds the W sibling clones expand steps in lockstep: CloneInto
 // overwrites a slot with an O(1) snapshot of the parent (no heap machine
-// per child), and only children the merge/commit pass decides to keep
-// are detached onto the heap. succs[p] points into pool — those pointers
-// die when the next level's expansion overwrites the slots.
+// per child), and only children the commit pass decides to keep are
+// detached onto the heap. succs[p] points into pool — those pointers
+// die when a later window's expansion overwrites the slots.
 type batch struct {
 	m       *machine.Machine
 	pool    []machine.Machine
@@ -272,11 +267,10 @@ type checker struct {
 	res           *Result
 	stats         *Stats
 	sinceProgress int
-	seqBatch      batch
-	parBatches    []batch
+	batches       []batch
 
-	// Sharded-pipeline bookkeeping (see sharded.go): per-frontier-state
-	// delta ancestors resolved before expansion, per-successor staging
+	// Level-pipeline bookkeeping (see level.go): per-frontier-state delta
+	// ancestors resolved before expansion, per-successor staging
 	// outcomes, and the stable arena spilled ancestor keys are read into.
 	ancGIDs  []int64
 	ancKeys  [][]byte
@@ -284,7 +278,7 @@ type checker struct {
 	outcomes []int64
 
 	// succArena backs every node's succs list. A node's successors are
-	// committed contiguously (the commit passes walk (frontier index,
+	// committed contiguously (the commit pass walks (frontier index,
 	// processor) in canonical order, one node at a time), so each list is
 	// a window re-sliced from the arena tail after each append — one
 	// amortized allocation for the whole graph instead of one per node.
@@ -300,8 +294,8 @@ type checker struct {
 	machFree [][]machine.Machine
 
 	// cowSlab backs the arrays kept machines privatize while being
-	// primed — adopt runs on the sequential commit path in every engine
-	// mode, so one slab serves all of them without synchronization.
+	// primed — adopt runs only on the sequential commit pass, so one
+	// slab serves every worker count without synchronization.
 	cowSlab machine.Slab
 }
 
@@ -364,7 +358,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		progressEvery: opts.ProgressEvery,
 		start:         time.Now(),
 		res:           &Result{},
-		idx:           newStateIndex(opts.Shards, opts.HotIndexBytes, opts.SpillDir),
+		idx:           newStateIndex(opts.Workers, opts.HotIndexBytes, opts.SpillDir),
 	}
 	defer c.idx.release()
 	c.stats = &c.res.Stats
@@ -404,16 +398,13 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 			}
 		}
 	}
-	rootIdx := c.push(m0, rootKey, -1, -1)
+	c.idx.insert(rootKey, canon.HashBytes(rootKey), -1, nil)
+	rootIdx := c.adopt(m0, -1, -1)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	c.level, c.levelIdx = c.next, c.nextIdx
 	c.next, c.nextIdx = nil, nil
 	for len(c.level) > 0 {
@@ -421,17 +412,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		if len(c.level) > c.stats.PeakFrontier {
 			c.stats.PeakFrontier = len(c.level)
 		}
-		var done bool
-		var err error
-		switch {
-		case opts.Shards > 1:
-			done, err = c.runLevelSharded(workers)
-		case workers > 1 && len(c.level) > 1:
-			done, err = c.runLevelParallel(workers)
-		default:
-			done, err = c.runLevelSequential()
-		}
-		if done {
+		if done, err := c.runLevel(); done {
 			return c.finish(err)
 		}
 		if opts.Obs.Enabled() {
@@ -458,8 +439,8 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		}
 		c.level, c.next = c.next, c.level[:0]
 		c.levelIdx, c.nextIdx = c.nextIdx, c.levelIdx[:0]
-		// Every machine of the just-expanded level is dead (the merge and
-		// commit passes nil the level slots as they finish), so the slab
+		// Every machine of the just-expanded level is dead (the commit
+		// pass nils the level slots as it finishes them), so the slab
 		// generations advance: chunks retired two boundaries ago are
 		// reused for the machines the next level will keep.
 		c.recycleKept()
@@ -504,16 +485,10 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Count("mc.transitions", c.stats.Transitions)
 		rec.Count("mc.dedup_hits", c.stats.DedupHits)
 		rec.Count("mc.self_loops", c.stats.SelfLoops)
-		if c.opts.Shards > 1 || c.opts.HotIndexBytes > 0 {
-			// Sharded/spill-mode telemetry only: the emissions below
-			// would perturb the deterministic event streams golden-file
-			// tests pin for the classic configurations.
-			rec.Count("mc.delta_states", snap.deltaStates)
-			rec.Count("mc.stored_key_bytes", snap.storedBytes)
-			rec.Count("mc.logical_key_bytes", snap.logicalBytes)
-			rec.Count("mc.spilled_bytes", snap.spilledBytes)
-			rec.Stat("mc.shards", int64(snap.shards))
-		}
+		rec.Count("mc.delta_states", snap.deltaStates)
+		rec.Count("mc.stored_key_bytes", snap.storedBytes)
+		rec.Count("mc.logical_key_bytes", snap.logicalBytes)
+		rec.Count("mc.spilled_bytes", snap.spilledBytes)
 		rec.Stat("mc.depth", int64(c.stats.Depth))
 		rec.Stat("mc.peak_frontier", int64(c.stats.PeakFrontier))
 		rec.Observe("mc.check", c.stats.Elapsed)
@@ -528,64 +503,6 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.PhaseEnd("mc.check", int64(c.res.StatesExplored))
 	}
 	return c.res, err
-}
-
-// runLevelSequential expands and merges the current level one state at a
-// time, reusing a single batch.
-func (c *checker) runLevelSequential() (bool, error) {
-	for i, cur := range c.level {
-		c.level[i] = nil // allow GC of expanded states
-		c.seqBatch.m = cur
-		c.expand(cur, &c.seqBatch)
-		if done, err := c.merge(c.levelIdx[i], &c.seqBatch); done {
-			return true, err
-		}
-		c.seqBatch.m = nil
-	}
-	return false, nil
-}
-
-// runLevelParallel fans expansion of the current level over a worker
-// pool, then merges the per-state batches sequentially in frontier
-// order. The merge order — and therefore every verdict, witness, counter,
-// and the exact visited set — matches the sequential engine.
-func (c *checker) runLevelParallel(workers int) (bool, error) {
-	n := len(c.level)
-	if workers > n {
-		workers = n
-	}
-	for len(c.parBatches) < n {
-		c.parBatches = append(c.parBatches, batch{})
-	}
-	batches := c.parBatches[:n]
-	chunk := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			done <- struct{}{}
-			continue
-		}
-		go func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				batches[i].m = c.level[i]
-				c.expand(c.level[i], &batches[i])
-			}
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for i := range batches {
-		c.level[i] = nil
-		if stop, err := c.merge(c.levelIdx[i], &batches[i]); stop {
-			return true, err
-		}
-		batches[i].m = nil
-	}
-	return false, nil
 }
 
 // expand computes all successors of cur into b: cloned machines plus
@@ -605,9 +522,14 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 	b.succs = b.succs[:0]
 	if len(b.pool) < c.nProcs {
 		b.pool = make([]machine.Machine, c.nProcs)
+		b.spans = make([]succSpan, 0, c.nProcs)
+		b.succs = make([]*machine.Machine, 0, c.nProcs)
 	}
 	curKey := cur.AppendStateKey(b.scratch[0][:0], nil, nil)
 	b.scratch[0] = curKey
+	// Room for every child key at about the parent's size, so a fresh
+	// batch's arena grows once rather than once per doubling.
+	b.arena = slices.Grow(b.arena, c.nProcs*(len(curKey)+len(curKey)/4))
 	for p := 0; p < c.nProcs; p++ {
 		next := &b.pool[p]
 		cur.CloneInto(next)
@@ -660,85 +582,6 @@ func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
 	return best
 }
 
-// merge folds one expanded batch into the exploration: transition
-// predicates (before the self-loop skip — stutter steps are visible to
-// predicates, excluded only from the successor graph), dedup against the
-// hashed index, budget checks before each push, state predicates on new
-// states. Runs only on the coordinating goroutine, in frontier order.
-func (c *checker) merge(curIdx int, b *batch) (bool, error) {
-	if b.err != nil {
-		return true, b.err
-	}
-	// The parent's full-stored key ancestor (for delta-encoding new
-	// successors) is resolved lazily, once per batch: dedup-only batches
-	// never touch it.
-	ancGID := int64(-2)
-	var ancKey []byte
-	for p, sp := range b.spans {
-		next := b.succs[p]
-		for _, pred := range c.opts.TransPreds {
-			if reason := pred(b.m, next, p); reason != "" {
-				c.res.Violation = &Violation{
-					Reason:   reason,
-					Schedule: append(c.scheduleTo(curIdx), p),
-				}
-				return true, nil
-			}
-		}
-		if sp.selfLoop {
-			c.stats.SelfLoops++
-			continue
-		}
-		c.stats.Transitions++
-		key := b.arena[sp.start:sp.end]
-		if gid, ok, err := c.idx.lookupHashed(key, sp.hash); err != nil {
-			return true, err
-		} else if ok {
-			c.stats.DedupHits++
-			c.appendSucc(curIdx, int(gid-c.idx.baseID))
-			continue
-		} else if c.res.StatesExplored >= c.maxStates {
-			// Budget check strictly before the push: the checker
-			// explores exactly MaxStates states, never MaxStates+1.
-			return true, c.exhaust("states")
-		} else {
-			if ancGID == -2 {
-				c.ancArena = c.ancArena[:0]
-				ancGID, ancKey, err = c.idx.ancestorFor(c.idx.baseID+int64(curIdx), &c.ancArena)
-				if err != nil {
-					return true, err
-				}
-			}
-			// Detach the pool slot onto the heap before adoption; the
-			// pool pointer must not be read past this point (priming the
-			// kept machine rebases span arrays the slot still aliases).
-			kept := next.DetachTo(c.newKept())
-			id := c.pushHashed(kept, key, sp.hash, curIdx, p, ancGID, ancKey)
-			c.appendSucc(curIdx, id)
-			if v := c.checkState(kept, id); v != nil {
-				c.res.Violation = v
-				return true, nil
-			}
-		}
-		if stop, err := c.pollBudgets(); stop {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
-// push interns a state under key and appends its node; the id equals the
-// node index.
-func (c *checker) push(m *machine.Machine, key []byte, parent, step int) int {
-	return c.pushHashed(m, key, canon.HashBytes(key), parent, step, -1, nil)
-}
-
-func (c *checker) pushHashed(m *machine.Machine, key []byte, hash uint64, parent, step int, ancGID int64, ancKey []byte) int {
-	gid := c.idx.insert(key, hash, ancGID, ancKey)
-	c.adopt(m, parent, step)
-	return int(gid - c.idx.baseID)
-}
-
 // adopt appends the exploration bookkeeping for a state that was just
 // committed to the index: its node, frontier slot, stuck flag, and the
 // explored-state counters. The node index always equals the committed
@@ -765,7 +608,7 @@ func (c *checker) adopt(m *machine.Machine, parent, step int) int {
 }
 
 // pollBudgets emits progress snapshots and enforces the time and memory
-// budgets. Called after each push.
+// budgets. Called after each new state.
 func (c *checker) pollBudgets() (bool, error) {
 	if c.sinceProgress >= c.progressEvery {
 		c.sinceProgress = 0

@@ -88,6 +88,36 @@ func TestObsEventCountsMatchStats(t *testing.T) {
 	}
 }
 
+// TestObsKeyCountersEveryMode: the key-storage counters are recorded at
+// every worker count and mirror Result.Stats exactly — sequential checks
+// included, not only sharded or spilling ones.
+func TestObsKeyCountersEveryMode(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		rec := obs.New(obs.Discard)
+		res, err := Check(factoryFor(t, system.Fig1(), system.InstrL, lockClaim), Options{
+			Workers: workers,
+			Obs:     rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DeltaStates == 0 || res.Stats.LogicalKeyBytes == 0 {
+			t.Fatalf("workers=%d: key storage stats empty: %+v", workers, res.Stats)
+		}
+		reg := rec.Metrics()
+		for name, want := range map[string]int64{
+			"mc.delta_states":      res.Stats.DeltaStates,
+			"mc.stored_key_bytes":  res.Stats.StoredKeyBytes,
+			"mc.logical_key_bytes": res.Stats.LogicalKeyBytes,
+			"mc.spilled_bytes":     res.Stats.SpilledBytes,
+		} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("workers=%d: counter %s = %d, want %d", workers, name, got, want)
+			}
+		}
+	}
+}
+
 // TestObsGoldenEventStream pins the full JSONL event stream of a fixed
 // deterministic check against a checked-in golden file. Events carry no
 // wall-clock payloads, so the stream is byte-identical across runs and

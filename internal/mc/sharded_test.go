@@ -7,10 +7,10 @@ import (
 	"simsym/internal/system"
 )
 
-// TestShardedBudgetMidLevelDeterministic pins satellite behavior the
-// sharded pipeline must preserve: when MaxStates lands in the middle of
-// a BFS level under parallel expansion, the run stops at exactly the
-// budget with the exact same partial result as the sequential engine,
+// TestShardedBudgetMidLevelDeterministic pins behavior the level
+// pipeline must preserve: when MaxStates lands in the middle of a BFS
+// level under parallel expansion and staging, the run stops at exactly
+// the budget with the exact same partial result as the sequential check,
 // run after run. spinForever's frontier widens level over level, so a
 // budget of 97 (prime, far from any level boundary) is guaranteed to
 // land mid-level.
@@ -30,9 +30,10 @@ func TestShardedBudgetMidLevelDeterministic(t *testing.T) {
 		name string
 		opts Options
 	}{
+		{"par2", Options{MaxStates: 97, Partial: true, Workers: 2}},
 		{"par4", Options{MaxStates: 97, Partial: true, Workers: 4}},
-		{"shard4", Options{MaxStates: 97, Partial: true, Workers: 4, Shards: 4}},
-		{"shard4+spill", Options{MaxStates: 97, Partial: true, Workers: 4, Shards: 4, HotIndexBytes: 1}},
+		{"par4+spill", Options{MaxStates: 97, Partial: true, Workers: 4, HotIndexBytes: 1}},
+		{"seq+spill", Options{MaxStates: 97, Partial: true, Workers: 1, HotIndexBytes: 1}},
 	} {
 		o := mode.opts
 		if o.HotIndexBytes > 0 {
@@ -51,16 +52,16 @@ func TestShardedBudgetMidLevelDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedStatsConsistent: the sharded pipeline's delta/shard
-// telemetry must be internally consistent and identical to the
-// single-shard engine's on a space both close completely.
+// TestShardedStatsConsistent: the 8-shard index's delta/shard telemetry
+// must be internally consistent and identical to the single-shard
+// index's on a space both close completely.
 func TestShardedStatsConsistent(t *testing.T) {
 	factory := factoryFor(t, system.Fig1(), system.InstrL, lockClaim)
 	seq, err := Check(factory, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := Check(factory, Options{Workers: 4, Shards: 8})
+	sh, err := Check(factory, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +80,8 @@ func TestShardedStatsConsistent(t *testing.T) {
 			t.Errorf("no states delta-encoded across %d states; ancestor wiring looks dead", s.StatesExplored)
 		}
 	}
-	// Storage decisions are made in canonical commit order in both
-	// engines, so even the compression telemetry must agree exactly.
+	// Storage decisions are made in canonical commit order at every
+	// worker count, so even the compression telemetry must agree exactly.
 	if seq.Stats.DeltaStates != sh.Stats.DeltaStates ||
 		seq.Stats.StoredKeyBytes != sh.Stats.StoredKeyBytes ||
 		seq.Stats.LogicalKeyBytes != sh.Stats.LogicalKeyBytes {
@@ -101,7 +102,6 @@ func TestShardedSpillDegradesNotCorrupts(t *testing.T) {
 	spill, err := Check(factory, Options{
 		StuckBad:      NotAllHalted,
 		Workers:       4,
-		Shards:        4,
 		HotIndexBytes: 1,
 		SpillDir:      t.TempDir(),
 	})
@@ -129,7 +129,8 @@ func TestProgressSnapshotsConsistentUnderParallel(t *testing.T) {
 		opts Options
 	}{
 		{"par4", Options{Workers: 4}},
-		{"shard4", Options{Workers: 4, Shards: 4}},
+		// Three workers over four shards: one stager owns two shards.
+		{"shard4", Options{Workers: 3}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			var calls atomic.Int64

@@ -99,52 +99,6 @@ func randomDFA(rng *rand.Rand, n int) *dfa {
 	return newDFA(accept, next)
 }
 
-// TestParallelWorklistMatchesSequential checks that the opt-in parallel
-// signature pass is invisible: for every worker count the result is
-// label-for-label identical to the sequential driver (not just the same
-// relation — the merge is deterministic).
-func TestParallelWorklistMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		d := randomDFA(rng, 2+rng.Intn(60))
-		seq, err := FixpointWorklist(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			par, err := FixpointWorklistParallel(d, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(seq.Labels()) != fmt.Sprint(par.Labels()) {
-				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, seq.Labels(), par.Labels())
-			}
-		}
-	}
-}
-
-// TestParallelHopcroftMatchesSequential checks the parallel initial
-// signature pass of the Hopcroft driver the same way.
-func TestParallelHopcroftMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		d := randomDFA(rng, 2+rng.Intn(60))
-		seq, err := FixpointHopcroft(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 5} {
-			par, err := FixpointHopcroftParallel(d, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(seq.Labels()) != fmt.Sprint(par.Labels()) {
-				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, seq.Labels(), par.Labels())
-			}
-		}
-	}
-}
-
 // stringOnlyDFA hides the TokenStructure implementation of dfa (the
 // field is deliberately not embedded, so AppendSignature is not
 // promoted), forcing the string-interning fallback of the worklist

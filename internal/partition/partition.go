@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Structure describes a refinable structure: a set of nodes, an initial
@@ -55,9 +53,7 @@ type Structure interface {
 // entirely; structures that do not implement TokenStructure fall back to
 // interning their Signature strings.
 //
-// Implementations must not retain buf and must be safe for concurrent
-// calls on distinct buffers (the parallel drivers fan the signature pass
-// out over a worker pool).
+// Implementations must not retain buf.
 type TokenStructure interface {
 	Structure
 	AppendSignature(buf []uint64, i int, label func(int) int) []uint64
@@ -411,33 +407,12 @@ func FixpointNaiveHooked(s Structure, hook RoundHook) (*Partition, error) {
 // small ints per class (see TokenStructure and SigTable), so splitting
 // never compares or sorts strings.
 func FixpointWorklist(s Structure) (*Partition, error) {
-	return fixpointWorklist(s, 1, nil)
+	return FixpointWorklistHooked(s, nil)
 }
 
-// FixpointWorklistHooked is FixpointWorklist with a per-round progress
-// hook and an optional parallel signature pass (workers > 1).
-func FixpointWorklistHooked(s Structure, workers int, hook RoundHook) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointWorklist(s, workers, hook)
-}
-
-// FixpointWorklistParallel is FixpointWorklist with the per-round
-// signature pass fanned out over a pool of `workers` goroutines, one
-// dirty class at a time, each worker owning its own intern table and
-// token buffer. Per-class ids are independent of scheduling and the
-// split merge applies them sequentially in ascending class order, so the
-// result is deterministic and identical to FixpointWorklist. Structure
-// methods must be safe for concurrent read-only use.
-func FixpointWorklistParallel(s Structure, workers int) (*Partition, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return fixpointWorklist(s, workers, nil)
-}
-
-func fixpointWorklist(s Structure, workers int, hook RoundHook) (*Partition, error) {
+// FixpointWorklistHooked is FixpointWorklist reporting each round to
+// hook.
+func FixpointWorklistHooked(s Structure, hook RoundHook) (*Partition, error) {
 	p, err := newPartition(s)
 	if err != nil {
 		return nil, err
@@ -492,56 +467,22 @@ func fixpointWorklist(s Structure, workers int, hook RoundHook) (*Partition, err
 		}
 
 		// Signature pass: every dirty class's signatures are computed
-		// against the round-start labeling (splits apply only in the
-		// merge below), so the parallel pass is label-for-label
-		// identical to the sequential one.
+		// against the round-start labeling; splits apply only after the
+		// whole pass, in ascending class order.
 		var changed []int
-		if workers > 1 && len(work) > 1 {
-			// Workers claim classes from a shared counter and fill
-			// disjoint result slots; the labels they read are not
-			// mutated until the merge.
-			idsByClass := make([][]int, len(work))
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < min(workers, len(work)); w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					we := newSigEncoder(s)
-					for {
-						k := int(next.Add(1)) - 1
-						if k >= len(work) {
-							return
-						}
-						we.reset()
-						ids := make([]int, 0, len(p.members[work[k]]))
-						for _, i := range p.members[work[k]] {
-							ids = append(ids, we.sigID(i, lbl))
-						}
-						idsByClass[k] = ids
-					}
-				}()
-			}
-			wg.Wait()
-			// Deterministic merge: splits apply in ascending class order.
-			for k, c := range work {
-				changed = append(changed, p.splitClassIDs(c, idsByClass[k])...)
-			}
-		} else {
-			idsBuf = idsBuf[:0]
-			offs := offsBuf[:0]
-			for _, c := range work {
-				enc.reset()
-				offs = append(offs, len(idsBuf))
-				for _, i := range p.members[c] {
-					idsBuf = append(idsBuf, enc.sigID(i, lbl))
-				}
-			}
+		idsBuf = idsBuf[:0]
+		offs := offsBuf[:0]
+		for _, c := range work {
+			enc.reset()
 			offs = append(offs, len(idsBuf))
-			offsBuf = offs
-			for k, c := range work {
-				changed = append(changed, p.splitClassIDs(c, idsBuf[offs[k]:offs[k+1]])...)
+			for _, i := range p.members[c] {
+				idsBuf = append(idsBuf, enc.sigID(i, lbl))
 			}
+		}
+		offs = append(offs, len(idsBuf))
+		offsBuf = offs
+		for k, c := range work {
+			changed = append(changed, p.splitClassIDs(c, idsBuf[offs[k]:offs[k+1]])...)
 		}
 		for _, i := range changed {
 			for _, d := range s.Dependents(i) {

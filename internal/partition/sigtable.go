@@ -18,8 +18,7 @@ import (
 // construction. Interned sequences are copied into a shared backing
 // array; callers may reuse their token buffer between Intern calls.
 //
-// The zero value is ready to use. A SigTable is not goroutine-safe; the
-// parallel drivers give each worker its own table.
+// The zero value is ready to use. A SigTable is not goroutine-safe.
 type SigTable struct {
 	buckets map[uint64][]int32
 	toks    []uint64

@@ -64,9 +64,6 @@ type Common struct {
 	// Workers > 1 parallelizes deterministic hot loops; results are
 	// identical to sequential runs.
 	Workers int `json:"workers,omitempty"`
-	// Shards > 1 shards the model checker's visited-state index by key
-	// hash; results stay identical to sequential runs.
-	Shards int `json:"shards,omitempty"`
 	// HotIndexBytes > 0 caps the checker's in-memory key storage; colder
 	// key bytes spill to temp files under SpillDir.
 	HotIndexBytes int64 `json:"hot_index_bytes,omitempty"`

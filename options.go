@@ -63,7 +63,7 @@ func ReadJSONL(r io.Reader) ([]ObsEvent, error) { return obs.ReadJSONL(r) }
 
 // RunConfig is the serializable option set shared by the options-based
 // entry points and the simsymd daemon's session API: budgets, workers,
-// sharding and spill, seed, symmetry reduction, the statistical stopping
+// spill, seed, symmetry reduction, the statistical stopping
 // rule, fault classes, and the schedule kind. Its JSON form is exactly
 // the "config" object a simsymd session-create request carries, so
 // daemon configs and Go options are one vocabulary. Apply a whole
@@ -120,14 +120,10 @@ func WithBudget(maxStates int, maxDuration time.Duration, maxMemBytes int64) Opt
 	}
 }
 
-// WithWorkers parallelizes deterministic hot loops over n goroutines.
+// WithWorkers runs the exhaustive and statistical checkers over n
+// goroutines (the exhaustive checker's visited index splits into as many
+// shards); results are identical at any worker count.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
-// WithShards splits the model checker's visited-state index into n
-// hash-addressed shards (rounded up to a power of two, capped at 256)
-// staged in parallel per BFS level; verdicts remain identical to the
-// sequential engine.
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 
 // WithSpill caps the model checker's in-memory key storage at hotBytes
 // and spills colder key bytes to temp files under dir ("" uses the
@@ -191,7 +187,6 @@ func (o Options) mcOptions() mc.Options {
 		MaxDuration:    o.MaxDuration.Std(),
 		MaxMemBytes:    o.MaxMemBytes,
 		Workers:        o.Workers,
-		Shards:         o.Shards,
 		HotIndexBytes:  o.HotIndexBytes,
 		SpillDir:       o.SpillDir,
 		SymmetryReduce: o.Symmetry,
@@ -203,13 +198,13 @@ func (o Options) mcOptions() mc.Options {
 
 // SimilarityOpts computes the similarity labeling Θ of sys under the
 // given environment rule (Algorithm 1 / Theorem 5). Recognized options:
-// WithObserver, WithWorkers.
+// WithObserver.
 func SimilarityOpts(sys *System, rule Rule, opts ...Option) (*Labeling, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: Similarity: nil system", ErrBadArgs)
 	}
 	o := buildOptions(opts)
-	return core.SimilarityWith(sys, rule, core.Config{Workers: o.Workers, Obs: o.Obs})
+	return core.SimilarityWith(sys, rule, core.Config{Obs: o.Obs})
 }
 
 // NewDynSystem builds a dynamic similarity engine seeded from sys under
@@ -223,7 +218,7 @@ func NewDynSystem(sys *System, rule Rule, opts ...Option) (*DynSystem, error) {
 		return nil, fmt.Errorf("%w: NewDynSystem: nil system", ErrBadArgs)
 	}
 	o := buildOptions(opts)
-	return core.NewDynSystem(sys, rule, core.Config{Workers: o.Workers, Obs: o.Obs})
+	return core.NewDynSystem(sys, rule, core.Config{Obs: o.Obs})
 }
 
 // NewChurn builds a seeded, replayable churn stream over d: each Step
@@ -239,7 +234,7 @@ func NewChurn(seed int64, d *DynSystem, copts ChurnOpts) (*Churn, error) {
 
 // DecideOpts solves the selection problem's decision half for the given
 // model (Theorems 1–3, 7–9 and the section 6 mimicry criterion).
-// Recognized options: WithObserver, WithWorkers.
+// Recognized options: WithObserver.
 func DecideOpts(sys *System, instr InstrSet, sch ScheduleClass, opts ...Option) (*Decision, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("%w: Decide: nil system", ErrBadArgs)

@@ -212,8 +212,8 @@ func TestCheckDiningOptsBudgetAndSymmetry(t *testing.T) {
 	}
 }
 
-// TestCheckOptsShardedSpill: the sharded index and spill tier reach the
-// checker through the facade options and leave the verdict, counters,
+// TestCheckOptsShardedSpill: the sharded index (one shard per worker)
+// and the spill tier reach the checker through the facade options and leave the verdict, counters,
 // and witness identical to the plain engine.
 func TestCheckOptsShardedSpill(t *testing.T) {
 	table, err := simsym.DiningFlipped(4)
@@ -231,7 +231,6 @@ func TestCheckOptsShardedSpill(t *testing.T) {
 	sharded, err := simsym.CheckDiningOpts(table, prog,
 		simsym.WithMaxStates(100_000),
 		simsym.WithWorkers(4),
-		simsym.WithShards(4),
 		simsym.WithSpill(1, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)

@@ -148,9 +148,9 @@ func TestOracleCrosscheckDiningTables(t *testing.T) {
 	}
 }
 
-// TestOracleCrosscheckShardedVerdicts drives the sharded deterministic-
-// by-reduction pipeline (and its spill-forced variant) against the
-// sequential engine on every topology the oracle suite covers: the
+// TestOracleCrosscheckShardedVerdicts drives the 4-worker, 4-shard level
+// pipeline (and its spill-forced variant) against the sequential check
+// on every topology the oracle suite covers: the
 // reports must match field for field — verdict, witness schedule, state
 // counts, depth, dedup counters. Programs are seeded-random so the
 // comparison sweeps arbitrary verdict shapes, not just the curated ones.
@@ -169,7 +169,7 @@ func TestOracleCrosscheckShardedVerdicts(t *testing.T) {
 		}
 	}
 	shardOpts := func(spill bool, dir string) []simsym.Option {
-		opts := []simsym.Option{simsym.WithWorkers(4), simsym.WithShards(4), simsym.WithMaxStates(20_000)}
+		opts := []simsym.Option{simsym.WithWorkers(4), simsym.WithMaxStates(20_000)}
 		if spill {
 			opts = append(opts, simsym.WithSpill(1, dir))
 		}
