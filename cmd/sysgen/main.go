@@ -1,5 +1,5 @@
 // Command sysgen emits generated systems in the sysdsl text format (or
-// Graphviz DOT), for piping into simlabel / selectd or editing by hand.
+// Graphviz DOT), for piping into simlabel / simrun or editing by hand.
 //
 // Usage:
 //

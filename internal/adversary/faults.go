@@ -186,8 +186,8 @@ func (r *Replayer) Apply(slot, pick int, m *machine.Machine) (bool, []Event) {
 
 // ParseSpec builds a fault Spec from a comma-separated list of class
 // names ("crash", "stall", "lockdrop") with default rates, deriving each
-// class's stream seed from the given base seed. It is the shared parser
-// behind the -faults CLI flags.
+// class's stream seed from the given base seed. Seeded runs go through
+// NewSeeding, which parses with it and reseeds the streams per run.
 func ParseSpec(classes string, seed int64) (Spec, error) {
 	var spec Spec
 	for _, c := range strings.Split(classes, ",") {
@@ -209,4 +209,54 @@ func ParseSpec(classes string, seed int64) (Spec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// Seeding is the one rule that turns a run seed into a harness's
+// randomness, shared by simsymd sessions, the statistical checkers, E16
+// and the simrun command so that a trace from any of them replays in
+// the others. Parse it once with NewSeeding and Install it per run.
+type Seeding struct {
+	shuffled bool
+	faults   Spec
+}
+
+// NewSeeding parses a schedule kind ("" or "uniform" for Uniform,
+// "shuffled" for Shuffled) and comma-separated fault classes (see
+// ParseSpec).
+func NewSeeding(kind, faults string) (Seeding, error) {
+	var s Seeding
+	switch kind {
+	case "", "uniform":
+	case "shuffled":
+		s.shuffled = true
+	default:
+		return Seeding{}, fmt.Errorf("adversary: unknown schedule kind %q (want uniform or shuffled)", kind)
+	}
+	spec, err := ParseSpec(faults, 0)
+	if err != nil {
+		return Seeding{}, err
+	}
+	s.faults = spec
+	return s, nil
+}
+
+// Install gives h a scheduler seeded with seed and, when any fault class
+// is enabled, a fault layer whose crash, stall and drop streams are
+// seeded seed+1, seed+2 and seed+3, so the schedule stream and the three
+// fault streams never draw the same sequence. Without fault classes h
+// gets no fault layer.
+func (s Seeding) Install(h *Harness, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := h.Sys.NumProcs()
+	if s.shuffled {
+		h.Sched = Shuffled(rng, n)
+	} else {
+		h.Sched = Uniform(rng, n)
+	}
+	h.Faults = nil
+	if s.faults.Enabled() {
+		spec := s.faults
+		spec.CrashSeed, spec.StallSeed, spec.DropSeed = seed+1, seed+2, seed+3
+		h.Faults = NewFaults(spec, n, h.Sys.NumVars())
+	}
 }

@@ -119,3 +119,73 @@ func TestReplayDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestSeedingLayout pins the one seed-to-streams rule: the schedule
+// stream draws from seed and the crash, stall and drop streams from
+// seed+1, seed+2 and seed+3.
+func TestSeedingLayout(t *testing.T) {
+	sys, err := system.DiningFlipped(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	for _, kind := range []string{"", "uniform", "shuffled"} {
+		seeding, err := NewSeeding(kind, "crash,stall,lockdrop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewDiningHarness(sys, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeding.Install(got, seed)
+
+		want, err := NewDiningHarness(sys, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if kind == "shuffled" {
+			want.Sched = Shuffled(rng, sys.NumProcs())
+		} else {
+			want.Sched = Uniform(rng, sys.NumProcs())
+		}
+		spec, err := ParseSpec("crash,stall,lockdrop", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.CrashSeed, spec.StallSeed, spec.DropSeed = seed+1, seed+2, seed+3
+		want.Faults = NewFaults(spec, sys.NumProcs(), sys.NumVars())
+
+		a, err := got.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := want.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := a.Diff(b); d != "" {
+			t.Errorf("kind %q: seeded run diverged from the documented layout: %s", kind, d)
+		}
+		if len(a.FaultLog) == 0 {
+			t.Errorf("kind %q: no faults fired; the layout is not exercised", kind)
+		}
+	}
+
+	seeding, err := NewSeeding("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Harness{Sys: sys, Faults: NewReplayer(nil)}
+	seeding.Install(h, seed)
+	if h.Faults != nil || h.Sched == nil {
+		t.Errorf("no fault classes: Faults = %v, Sched = %v; want nil fault layer and a scheduler", h.Faults, h.Sched)
+	}
+	if _, err := NewSeeding("round-robin", ""); err == nil {
+		t.Error("unknown schedule kind accepted")
+	}
+	if _, err := NewSeeding("", "gremlins"); err == nil {
+		t.Error("unknown fault class accepted")
+	}
+}

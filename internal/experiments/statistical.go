@@ -109,24 +109,19 @@ func E16Statistical(eps float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, err := adversary.ParseSpec("lockdrop", 0)
+		seeding, err := adversary.NewSeeding("", "lockdrop")
 		if err != nil {
 			return nil, err
 		}
-		procs, vars := sys.NumProcs(), sys.NumVars()
 		trial := func(seed int64, depth int, capture bool) (mc.Trial, error) {
-			rng := rand.New(rand.NewSource(seed))
-			s := spec
-			s.CrashSeed, s.StallSeed, s.DropSeed = seed+1, seed+2, seed+3
 			h := adversary.Harness{
 				Sys:       sys,
 				Instr:     system.InstrL,
 				Prog:      prog,
-				Sched:     adversary.Uniform(rng, procs),
-				Faults:    adversary.NewFaults(s, procs, vars),
 				MaxSlots:  depth,
 				ProcPreds: []mc.ProcPredicate{excl},
 			}
+			seeding.Install(&h, seed)
 			r, err := h.Run()
 			if err != nil {
 				return mc.Trial{}, err

@@ -1,7 +1,7 @@
 // Package obsflag wires the shared observability command-line surface —
-// -metrics, -trace-jsonl, -pprof — into the daemons. It owns the flag
+// -metrics, -trace-jsonl, -pprof — into the commands. It owns the flag
 // registration, the recorder construction, and the end-of-run flush, so
-// selectd, diningd, and experiments expose an identical surface.
+// simrun and experiments expose an identical surface.
 package obsflag
 
 import (

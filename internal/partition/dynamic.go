@@ -63,50 +63,6 @@ func (u UpdateStats) add(v UpdateStats) UpdateStats {
 	return u
 }
 
-// dynEncoder interns signatures into a persistent id space: unlike the
-// per-class sigEncoder windows of the static drivers, ids stay
-// comparable across events, which is what lets Dyn store one stable
-// signature id per class and certify "nothing changed" without
-// recomputing unaffected classes.
-type dynEncoder struct {
-	s    Structure
-	ts   TokenStructure // nil when s is string-only
-	tab  SigTable
-	strs map[string]int
-	buf  []uint64
-}
-
-func (e *dynEncoder) init(s Structure) {
-	e.s = s
-	if ts, ok := s.(TokenStructure); ok {
-		e.ts = ts
-	} else {
-		e.strs = make(map[string]int)
-	}
-}
-
-func (e *dynEncoder) reset() {
-	if e.ts != nil {
-		e.tab.Reset()
-		return
-	}
-	e.strs = make(map[string]int)
-}
-
-func (e *dynEncoder) sigID(i int, label func(int) int) int {
-	if e.ts != nil {
-		e.buf = e.ts.AppendSignature(e.buf[:0], i, label)
-		return e.tab.Intern(e.buf)
-	}
-	s := e.s.Signature(i, label)
-	id, ok := e.strs[s]
-	if !ok {
-		id = len(e.strs)
-		e.strs[s] = id
-	}
-	return id
-}
-
 // Dyn maintains the coarsest stable partition of a mutating structure
 // incrementally. Between events it keeps, per class, the interned
 // signature id the class stabilized at; an event only pays for the
@@ -138,8 +94,8 @@ func (e *dynEncoder) sigID(i int, label func(int) int) int {
 // Dyn is not goroutine-safe.
 type Dyn struct {
 	s    DynStructure
-	enc  dynEncoder // persistent id space for stable class signatures
-	qenc dynEncoder // scratch space for quotient passes, reset per round
+	enc  sigEncoder // persistent id space for stable class signatures, reset only by rebuild
+	qenc sigEncoder // scratch space for quotient passes, reset per round
 
 	label   []int   // slot -> class id, -1 when dead
 	pos     []int   // slot -> index within members[label[slot]]
@@ -176,8 +132,8 @@ func NewDyn(s DynStructure) (*Dyn, error) {
 		initTab: make(map[string]int),
 		byInit:  make(map[int][]int),
 	}
-	d.enc.init(s)
-	d.qenc.init(s)
+	d.enc = newSigEncoder(s)
+	d.qenc = newSigEncoder(s)
 	d.grow(s.Len())
 	var st UpdateStats
 	d.rebuild(&st)

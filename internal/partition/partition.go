@@ -321,7 +321,9 @@ func (p *Partition) splitClassIDs(c int, ids []int) []int {
 // sigEncoder turns per-node signatures into small interned ids, using
 // the token path when the structure supports it and interning the oracle
 // strings otherwise. Ids are dense per reset window in first-appearance
-// order; ids from different windows are not comparable.
+// order; ids from different windows are not comparable. The static
+// drivers reset per class; Dyn resets its persistent encoder only on a
+// full rebuild, so its class signature ids stay comparable across events.
 type sigEncoder struct {
 	s    Structure
 	ts   TokenStructure // nil when s is string-only
@@ -330,11 +332,10 @@ type sigEncoder struct {
 	buf  []uint64
 }
 
-func newSigEncoder(s Structure) *sigEncoder {
-	e := &sigEncoder{s: s}
-	if ts, ok := s.(TokenStructure); ok {
-		e.ts = ts
-	}
+func newSigEncoder(s Structure) sigEncoder {
+	e := sigEncoder{s: s}
+	e.ts, _ = s.(TokenStructure)
+	e.reset()
 	return e
 }
 

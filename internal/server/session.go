@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"simsym/internal/adversary"
@@ -98,17 +97,20 @@ func newSession(id string, cfg SessionConfig) (*session, error) {
 // session creation and topology reload, so a reloaded session runs
 // under exactly the knobs it was created with.
 func buildHarness(cfg SessionConfig, sys *system.System) (*adversary.Harness, error) {
+	seeding, err := adversary.NewSeeding(cfg.Config.SchedKind, cfg.Config.FaultClasses)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
+	}
 	var h *adversary.Harness
-	var err error
 	switch cfg.Kind {
 	case "select":
-		instr, err := parseInstr(cfg.Instr)
+		instr, err := system.ParseInstrSet(cfg.Instr)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 		}
-		sc, err := parseSchedClass(cfg.SchedClass)
+		sc, err := system.ParseScheduleClass(cfg.SchedClass)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
 		}
 		h, err = adversary.NewSelectHarness(sys, instr, sc, nil)
 		if err != nil {
@@ -126,27 +128,7 @@ func buildHarness(cfg SessionConfig, sys *system.System) (*adversary.Harness, er
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q (want select or dining)", ErrBadSession, cfg.Kind)
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Config.Seed))
-	switch cfg.Config.SchedKind {
-	case "", "uniform":
-		h.Sched = adversary.Uniform(rng, sys.NumProcs())
-	case "shuffled":
-		h.Sched = adversary.Shuffled(rng, sys.NumProcs())
-	default:
-		return nil, fmt.Errorf("%w: unknown sched kind %q (want uniform or shuffled)", ErrBadSession, cfg.Config.SchedKind)
-	}
-	if cfg.Config.FaultClasses != "" {
-		spec, err := adversary.ParseSpec(cfg.Config.FaultClasses, cfg.Config.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSession, err)
-		}
-		// Offset the per-class streams from the schedule stream exactly
-		// like the statistical checkers, so a session trace and a
-		// same-seed statistical trial draw identical fault sequences.
-		spec.CrashSeed, spec.StallSeed, spec.DropSeed = cfg.Config.Seed+1, cfg.Config.Seed+2, cfg.Config.Seed+3
-		h.Faults = adversary.NewFaults(spec, sys.NumProcs(), sys.NumVars())
-	}
+	seeding.Install(h, cfg.Config.Seed)
 	if cfg.Config.MaxSlots > 0 {
 		h.MaxSlots = cfg.Config.MaxSlots
 	}
@@ -316,30 +298,4 @@ func (s *session) snapshot(withTrace bool) Snapshot {
 		}
 	}
 	return snap
-}
-
-func parseInstr(s string) (system.InstrSet, error) {
-	switch s {
-	case "", "q":
-		return system.InstrQ, nil
-	case "s":
-		return system.InstrS, nil
-	case "l":
-		return system.InstrL, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown instruction set %q (want s, l, or q)", ErrBadSession, s)
-	}
-}
-
-func parseSchedClass(s string) (system.ScheduleClass, error) {
-	switch s {
-	case "", "fair":
-		return system.SchedFair, nil
-	case "general":
-		return system.SchedGeneral, nil
-	case "bounded":
-		return system.SchedBoundedFair, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown schedule class %q (want general, fair, or bounded)", ErrBadSession, s)
-	}
 }

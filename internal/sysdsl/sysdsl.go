@@ -26,6 +26,8 @@ package sysdsl
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,6 +41,31 @@ var (
 	ErrUnknown    = errors.New("sysdsl: unknown reference")
 	ErrIncomplete = errors.New("sysdsl: incomplete description")
 )
+
+// Load is the command-line front end to Parse: spec names a DSL file
+// ("-" reads stdin) and gen is a generator directive without its "gen"
+// keyword (the commands' -spec and -gen flags). Exactly one must be set.
+func Load(spec, gen string, stdin io.Reader) (*system.System, error) {
+	var data []byte
+	var err error
+	switch {
+	case spec != "" && gen != "":
+		return nil, fmt.Errorf("sysdsl: -spec and -gen are mutually exclusive")
+	case gen != "":
+		return Parse("gen " + gen)
+	case spec == "-":
+		if data, err = io.ReadAll(stdin); err != nil {
+			return nil, fmt.Errorf("reading stdin: %w", err)
+		}
+	case spec != "":
+		if data, err = os.ReadFile(spec); err != nil {
+			return nil, fmt.Errorf("reading spec: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("need -spec or -gen")
+	}
+	return Parse(string(data))
+}
 
 // Parse reads the DSL (or a generator directive) and returns the system.
 func Parse(src string) (*system.System, error) {

@@ -3,6 +3,8 @@ package sysdsl
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,5 +156,38 @@ func TestDOT(t *testing.T) {
 	// Edge count: every (proc,name) pair appears once.
 	if got := strings.Count(dot, " -- "); got != 6 {
 		t.Errorf("edges = %d, want 6", got)
+	}
+}
+
+func TestLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dining.sys")
+	if err := os.WriteFile(path, []byte(diningSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, spec, gen string
+		procs           int
+	}{
+		{"generator", "", "ring 3", 3},
+		{"file", path, "", 2},
+		{"stdin", "-", "", 2},
+	} {
+		sys, err := Load(tc.spec, tc.gen, strings.NewReader(diningSrc))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sys.NumProcs() != tc.procs {
+			t.Errorf("%s: %d procs, want %d", tc.name, sys.NumProcs(), tc.procs)
+		}
+	}
+	// A generator must not silently win over an explicit spec.
+	if _, err := Load(path, "ring 3", nil); err == nil {
+		t.Error("spec together with gen should be rejected")
+	}
+	if _, err := Load("", "", nil); err == nil {
+		t.Error("neither spec nor gen should be rejected")
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.sys"), "", nil); err == nil {
+		t.Error("missing spec file should be rejected")
 	}
 }

@@ -80,6 +80,36 @@ func (s ScheduleClass) String() string {
 	}
 }
 
+// ParseInstrSet reads the command-line and session spelling of an
+// instruction set: "s", "l", or "q"; "" selects Q.
+func ParseInstrSet(s string) (InstrSet, error) {
+	switch s {
+	case "", "q":
+		return InstrQ, nil
+	case "s":
+		return InstrS, nil
+	case "l":
+		return InstrL, nil
+	default:
+		return 0, fmt.Errorf("system: unknown instruction set %q (want s, l, or q)", s)
+	}
+}
+
+// ParseScheduleClass reads the command-line and session spelling of a
+// schedule class: "general", "fair", or "bounded"; "" selects fair.
+func ParseScheduleClass(s string) (ScheduleClass, error) {
+	switch s {
+	case "", "fair":
+		return SchedFair, nil
+	case "general":
+		return SchedGeneral, nil
+	case "bounded":
+		return SchedBoundedFair, nil
+	default:
+		return 0, fmt.Errorf("system: unknown schedule class %q (want general, fair, or bounded)", s)
+	}
+}
+
 // Name is a local name a processor gives to one of its shared variables
 // (an element of the paper's NAMES set).
 type Name string

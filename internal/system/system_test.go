@@ -423,3 +423,22 @@ func TestDiningPlainForksUseBothNames(t *testing.T) {
 		}
 	}
 }
+
+func TestParseInstrSetAndScheduleClass(t *testing.T) {
+	for s, want := range map[string]InstrSet{"": InstrQ, "q": InstrQ, "s": InstrS, "l": InstrL} {
+		if got, err := ParseInstrSet(s); err != nil || got != want {
+			t.Errorf("ParseInstrSet(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for s, want := range map[string]ScheduleClass{"": SchedFair, "fair": SchedFair, "general": SchedGeneral, "bounded": SchedBoundedFair} {
+		if got, err := ParseScheduleClass(s); err != nil || got != want {
+			t.Errorf("ParseScheduleClass(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := ParseInstrSet("Q"); err == nil {
+		t.Error("ParseInstrSet accepted an unknown spelling")
+	}
+	if _, err := ParseScheduleClass("bounded-fair"); err == nil {
+		t.Error("ParseScheduleClass accepted an unknown spelling")
+	}
+}

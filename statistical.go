@@ -2,7 +2,6 @@ package simsym
 
 import (
 	"fmt"
-	"math/rand"
 
 	"simsym/internal/adversary"
 	"simsym/internal/dining"
@@ -66,34 +65,19 @@ type StatReport struct {
 }
 
 // statHarness configures one family of sampled runs: a harness template
-// plus the per-trial randomness recipe. Every trial copies the template,
+// plus the per-trial seeding rule. Every trial copies the template,
 // installs a freshly seeded scheduler and fault layer, and runs — so
 // trials are independent, deterministic per seed, and safe to run
 // concurrently (the shared System/Program are only read).
 type statHarness struct {
-	base  adversary.Harness
-	spec  adversary.Spec
-	kind  string
-	procs int
-	vars  int
+	base    adversary.Harness
+	seeding adversary.Seeding
 }
 
 func (s *statHarness) run(seed int64, depth int) (*adversary.Result, error) {
 	h := s.base
 	h.MaxSlots = depth
-	rng := rand.New(rand.NewSource(seed))
-	if s.kind == "shuffled" {
-		h.Sched = adversary.Shuffled(rng, s.procs)
-	} else {
-		h.Sched = adversary.Uniform(rng, s.procs)
-	}
-	if s.spec.Enabled() {
-		spec := s.spec
-		// Per-class streams get their own trial-local seeds, offset so
-		// the schedule stream and the three fault streams never alias.
-		spec.CrashSeed, spec.StallSeed, spec.DropSeed = seed+1, seed+2, seed+3
-		h.Faults = adversary.NewFaults(spec, s.procs, s.vars)
-	}
+	s.seeding.Install(&h, seed)
 	return h.Run()
 }
 
@@ -116,24 +100,16 @@ func (s *statHarness) trial(seed int64, depth int, capture bool) (mc.Trial, erro
 // checkStatistical validates the shared facade options, runs the
 // sampler, and folds the result into a StatReport.
 func (sh *statHarness) check(name string, o Options) (*StatReport, error) {
-	switch o.SchedKind {
-	case "", "uniform", "shuffled":
-		sh.kind = o.SchedKind
-	default:
-		return nil, fmt.Errorf("%w: %s: unknown schedule kind %q", ErrBadArgs, name, o.SchedKind)
+	seeding, err := adversary.NewSeeding(o.SchedKind, o.FaultClasses)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadArgs, name, err)
 	}
+	sh.seeding = seeding
 	if o.Epsilon < 0 || o.Epsilon >= 1 || o.Delta < 0 || o.Delta >= 1 {
 		return nil, fmt.Errorf("%w: %s: epsilon %v and delta %v must lie in (0, 1)", ErrBadArgs, name, o.Epsilon, o.Delta)
 	}
 	if o.Depth < 0 || o.MaxSamples < 0 {
 		return nil, fmt.Errorf("%w: %s: depth %d and samples %d must be >= 0", ErrBadArgs, name, o.Depth, o.MaxSamples)
-	}
-	if o.FaultClasses != "" {
-		spec, err := adversary.ParseSpec(o.FaultClasses, o.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrBadArgs, name, err)
-		}
-		sh.spec = spec
 	}
 	res, err := mc.Sample(sh.trial, mc.SampleOptions{
 		Epsilon:     o.Epsilon,
@@ -209,8 +185,6 @@ func CheckStatistical(sys *System, instr InstrSet, prog *Program, opts ...Option
 			ProcPreds:  []mc.ProcPredicate{mc.LocalUniquenessPred},
 			TransPreds: []mc.TransitionPredicate{mc.StabilityPred},
 		},
-		procs: sys.NumProcs(),
-		vars:  sys.NumVars(),
 	}
 	return sh.check("CheckStatistical", o)
 }
@@ -240,8 +214,6 @@ func CheckStatisticalDining(sys *System, prog *Program, opts ...Option) (*StatRe
 			Prog:      prog,
 			ProcPreds: []mc.ProcPredicate{excl},
 		},
-		procs: sys.NumProcs(),
-		vars:  sys.NumVars(),
 	}
 	return sh.check("CheckStatisticalDining", o)
 }
