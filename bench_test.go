@@ -139,6 +139,34 @@ func BenchmarkExp16Statistical(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) { return experiments.E16Statistical(0.2) })
 }
 
+// BenchmarkSampleDining256 is one CheckStatisticalDining estimate on the
+// 256-philosopher table under lock-drop faults, at a loosened half-width
+// (ε=0.05 → 738 trials) so one iteration stays sub-second. Its
+// allocs/op is gated by scripts/benchgate.sh: a sampled trial must pay
+// for the steps it takes, not rebuild its table at every start.
+func BenchmarkSampleDining256(b *testing.B) {
+	sys, err := simsym.Dining(256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := simsym.DiningProgram("left", "right", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := simsym.CheckStatisticalDining(sys, prog,
+			simsym.WithConfidence(0.05, 0.05), simsym.WithDepth(1024),
+			simsym.WithFaults("lockdrop"), simsym.WithSeed(1), simsym.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Complete {
+			b.Fatalf("estimate incomplete: %+v", rep)
+		}
+	}
+}
+
 // BenchmarkSelectQ measures the full SELECT pipeline (decide + compile +
 // run) on a marked ring in Q.
 func BenchmarkSelectQ(b *testing.B) {

@@ -208,7 +208,7 @@ func TestFaultRunMatchesSession(t *testing.T) {
 			if fmt.Sprint(faults) != fmt.Sprint(sess.Faults) {
 				t.Errorf("fault logs differ:\ncli     %v\nsession %v", faults, sess.Faults)
 			}
-			if cli.Fingerprint != sess.Fingerprint {
+			if cli.Fingerprint() != sess.Fingerprint {
 				t.Errorf("final fingerprints differ")
 			}
 

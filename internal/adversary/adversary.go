@@ -67,9 +67,23 @@ func Shuffled(rng *rand.Rand, n int) machine.Scheduler {
 }
 
 // Uniform streams uniform random picks (sched.UniformRandom as a stream;
-// fair with probability 1 but not k-bounded for any k).
+// fair with probability 1 but not k-bounded for any k). Each Next draws
+// rng.Intn(n) directly — the same draw sched.UniformRandom makes per
+// slot — so the stream matches it without a slice per pick.
 func Uniform(rng *rand.Rand, n int) machine.Scheduler {
-	return &generator{gen: func() ([]int, error) { return sched.UniformRandom(rng, n, 1) }}
+	return &uniform{rng: rng, n: n}
+}
+
+type uniform struct {
+	rng *rand.Rand
+	n   int
+}
+
+func (u *uniform) Next(*machine.Machine) (int, bool) {
+	if u.n < 1 {
+		return 0, false // sched.UniformRandom rejects n < 1
+	}
+	return u.rng.Intn(u.n), true
 }
 
 // Starver streams only the given processors, round-robin, forever —

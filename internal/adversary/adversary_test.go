@@ -72,13 +72,22 @@ func TestAdaptersMatchSchedGenerators(t *testing.T) {
 		t.Errorf("Shuffled adapter %v != sched %v", got, want)
 	}
 
-	want, err = sched.UniformRandom(rand.New(rand.NewSource(9)), n, 40)
-	if err != nil {
-		t.Fatal(err)
+	// Uniform draws per pick instead of regenerating a chunk per slot;
+	// the stream must still match sched.UniformRandom draw for draw, over
+	// many rounds' worth of picks and at several table sizes.
+	for _, un := range []int{2, n, 7, 64} {
+		picks := 10 * un
+		want, err = sched.UniformRandom(rand.New(rand.NewSource(9)), un, picks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = collect(t, Uniform(rand.New(rand.NewSource(9)), un), loopMachine(t, un), picks)
+		if !equalInts(got, want) {
+			t.Errorf("n=%d: Uniform adapter %v != sched %v", un, got, want)
+		}
 	}
-	got = collect(t, Uniform(rand.New(rand.NewSource(9)), n), m, 40)
-	if !equalInts(got, want) {
-		t.Errorf("Uniform adapter %v != sched %v", got, want)
+	if p, ok := Uniform(rand.New(rand.NewSource(9)), 0).Next(m); ok {
+		t.Errorf("Uniform over 0 processors picked %d; want the stream to end", p)
 	}
 
 	want, err = sched.Starve([]int{1, 3}, rounds)

@@ -100,10 +100,19 @@ func NewFaults(spec Spec, nProcs, nVars int) *Faults {
 		spec:         spec,
 		maxCrashes:   spec.MaxCrashes,
 		stallLen:     spec.StallLen,
-		crashRng:     rand.New(rand.NewSource(spec.CrashSeed)),
-		stallRng:     rand.New(rand.NewSource(spec.StallSeed)),
-		dropRng:      rand.New(rand.NewSource(spec.DropSeed)),
 		stalledUntil: make([]int, nProcs),
+	}
+	// A stream is seeded only when its class can fire: Apply never reads
+	// the stream of a class whose rate is 0, and seeding a math/rand
+	// source costs microseconds and kilobytes per run.
+	if spec.CrashRate > 0 {
+		f.crashRng = rand.New(rand.NewSource(spec.CrashSeed))
+	}
+	if spec.StallRate > 0 {
+		f.stallRng = rand.New(rand.NewSource(spec.StallSeed))
+	}
+	if spec.DropRate > 0 {
+		f.dropRng = rand.New(rand.NewSource(spec.DropSeed))
 	}
 	if f.maxCrashes <= 0 {
 		f.maxCrashes = nProcs - 1

@@ -26,19 +26,32 @@ type Violation struct {
 // over the same program must reproduce an Equal Result — the determinism
 // tests and the -replay CLI flags enforce exactly that.
 type Result struct {
-	Schedule    []int   // every slot's scheduled processor, in order
-	FaultLog    []Event // every fault that fired, in slot order
-	Steps       int     // steps actually executed (slots minus skips/stutters)
-	Slots       int     // schedule slots consumed
-	Done        bool    // the harness's convergence predicate held
-	Halted      bool    // every processor halted (voluntarily or crashed)
-	Violation   *Violation
-	Fingerprint string // final machine.Fingerprint()
+	Schedule  []int   // every slot's scheduled processor, in order
+	FaultLog  []Event // every fault that fired, in slot order
+	Steps     int     // steps actually executed (slots minus skips/stutters)
+	Slots     int     // schedule slots consumed
+	Done      bool    // the harness's convergence predicate held
+	Halted    bool    // every processor halted (voluntarily or crashed)
+	Violation *Violation
 
 	// Final is the machine in its final state, for callers that want to
 	// inspect beyond the fingerprint (meal counts, selected set). Not
 	// part of run identity: Diff/Equal ignore it, Fingerprint covers it.
+	// It must not be stepped further.
 	Final *machine.Machine
+
+	fp string // memoized Fingerprint
+}
+
+// Fingerprint returns the final machine's canonical fingerprint
+// (machine.Fingerprint), computed on first use: sampled trials never
+// ask for it, so they never pay for it. Like the rest of a Result, it
+// is not safe for concurrent first use.
+func (r *Result) Fingerprint() string {
+	if r.fp == "" && r.Final != nil {
+		r.fp = r.Final.Fingerprint()
+	}
+	return r.fp
 }
 
 // Diff returns "" when the two results describe the identical run, and a
@@ -73,7 +86,7 @@ func (r *Result) Diff(o *Result) string {
 		return fmt.Sprintf("violation %v vs %v", r.Violation, o.Violation)
 	case r.Violation != nil && *r.Violation != *o.Violation:
 		return fmt.Sprintf("violation %+v vs %+v", *r.Violation, *o.Violation)
-	case r.Fingerprint != o.Fingerprint:
+	case r.Fingerprint() != o.Fingerprint():
 		return "final fingerprints differ"
 	}
 	return ""
@@ -121,6 +134,19 @@ type Harness struct {
 	// final verdict. The stream is a deterministic function of the run, so
 	// replayed runs produce identical event streams.
 	Obs *obs.Recorder
+
+	// tmpl is the prepared initial machine (see Prepare), shared by
+	// every copy of the harness made after Prepare.
+	tmpl *template
+}
+
+// template is a frozen initial machine and the configuration it was
+// built from; Start rebuilds it if Sys, Instr or Prog changed since.
+type template struct {
+	sys   *system.System
+	instr system.InstrSet
+	prog  *machine.Program
+	m     *machine.Machine
 }
 
 const defaultMaxSlots = 10000
@@ -155,12 +181,32 @@ type Exec struct {
 	final    bool // Finalize ran
 }
 
-// Start builds the machine and begins a run without advancing it.
-func (h *Harness) Start() (*Exec, error) {
+// Prepare builds the harness's initial machine once — validating the
+// system and binding the program to it — and freezes it as the template
+// every later Start clones in O(1). Copies of the harness made after
+// Prepare share the template, and Start on them is safe for concurrent
+// use (each run clones the frozen template and only reads it). A
+// harness that was never prepared prepares itself on first Start, which
+// is then not safe for concurrent use.
+func (h *Harness) Prepare() error {
 	m, err := machine.New(h.Sys, h.Instr, h.Prog)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	m.Freeze()
+	h.tmpl = &template{sys: h.Sys, instr: h.Instr, prog: h.Prog, m: m}
+	return nil
+}
+
+// Start clones the prepared initial machine (preparing it first when
+// needed) and begins a run without advancing it.
+func (h *Harness) Start() (*Exec, error) {
+	if t := h.tmpl; t == nil || t.sys != h.Sys || t.instr != h.Instr || t.prog != h.Prog {
+		if err := h.Prepare(); err != nil {
+			return nil, err
+		}
+	}
+	m := h.tmpl.m.Clone()
 	budget := h.MaxSlots
 	if budget <= 0 {
 		budget = defaultMaxSlots
@@ -288,7 +334,7 @@ func (e *Exec) Advance(maxSlots int) (finished bool, err error) {
 }
 
 // Finalize ends the run, fills the outcome fields (Done, Halted,
-// Fingerprint, Final), emits the closing obs events, and returns the
+// Final), emits the closing obs events, and returns the
 // replayable record. Idempotent; Advance after Finalize is a no-op.
 func (e *Exec) Finalize() *Result {
 	h, m, res := e.h, e.m, e.res
@@ -301,7 +347,6 @@ func (e *Exec) Finalize() *Result {
 	if !res.Done && res.Violation == nil && h.Done != nil {
 		res.Done = h.Done(m)
 	}
-	res.Fingerprint = m.Fingerprint()
 	res.Final = m
 	if h.Obs.Enabled() {
 		h.Obs.Count("harness.runs", 1)

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -240,5 +241,32 @@ func TestAlgorithm3HarnessToleratesCrashSafely(t *testing.T) {
 	}
 	if res.Violation != nil {
 		t.Fatalf("crash fault produced a mislabeling: %+v", *res.Violation)
+	}
+}
+
+// TestStartAllocatesPerTrialNotPerTable pins the O(1) trial start: a
+// harness builds its initial machine once, and each Start clones it, so
+// a run on a 256-philosopher table no longer pays for the table (or for
+// per-variable Q rows it never uses under L) at every start.
+func TestStartAllocatesPerTrialNotPerTable(t *testing.T) {
+	sys, err := system.Dining(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewDiningHarness(sys, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls, limit = 100, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= limit {
+		t.Errorf("Start allocates %d bytes per call on Dining(256)/L, want under %d", per, limit)
 	}
 }

@@ -122,15 +122,23 @@ func TestReplayDeterminism(t *testing.T) {
 
 // TestSeedingLayout pins the one seed-to-streams rule: the schedule
 // stream draws from seed and the crash, stall and drop streams from
-// seed+1, seed+2 and seed+3.
+// seed+1, seed+2 and seed+3. The reference side seeds all three fault
+// streams whatever the enabled classes, so the single-class rows also
+// pin that seeding only the enabled streams changes no run.
 func TestSeedingLayout(t *testing.T) {
 	sys, err := system.DiningFlipped(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const seed = 5
-	for _, kind := range []string{"", "uniform", "shuffled"} {
-		seeding, err := NewSeeding(kind, "crash,stall,lockdrop")
+	all := "crash,stall,lockdrop"
+	rows := []struct{ kind, classes string }{
+		{"", all}, {"uniform", all}, {"shuffled", all},
+		{"", "crash"}, {"", "stall"}, {"", "lockdrop"},
+	}
+	for _, row := range rows {
+		kind := row.kind
+		seeding, err := NewSeeding(kind, row.classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +158,16 @@ func TestSeedingLayout(t *testing.T) {
 		} else {
 			want.Sched = Uniform(rng, sys.NumProcs())
 		}
-		spec, err := ParseSpec("crash,stall,lockdrop", 0)
+		spec, err := ParseSpec(row.classes, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.CrashSeed, spec.StallSeed, spec.DropSeed = seed+1, seed+2, seed+3
-		want.Faults = NewFaults(spec, sys.NumProcs(), sys.NumVars())
+		f := NewFaults(spec, sys.NumProcs(), sys.NumVars())
+		f.crashRng = rand.New(rand.NewSource(spec.CrashSeed))
+		f.stallRng = rand.New(rand.NewSource(spec.StallSeed))
+		f.dropRng = rand.New(rand.NewSource(spec.DropSeed))
+		want.Faults = f
 
 		a, err := got.Run()
 		if err != nil {
@@ -166,10 +178,10 @@ func TestSeedingLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := a.Diff(b); d != "" {
-			t.Errorf("kind %q: seeded run diverged from the documented layout: %s", kind, d)
+			t.Errorf("kind %q, faults %q: seeded run diverged from the documented layout: %s", kind, row.classes, d)
 		}
 		if len(a.FaultLog) == 0 {
-			t.Errorf("kind %q: no faults fired; the layout is not exercised", kind)
+			t.Errorf("kind %q, faults %q: no faults fired; the layout is not exercised", kind, row.classes)
 		}
 	}
 

@@ -21,6 +21,7 @@ package dining
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"simsym/internal/machine"
 	"simsym/internal/mc"
@@ -131,16 +132,37 @@ func LocalExclusionPred(sys *system.System) (mc.ProcPredicate, error) {
 		neighbors[pr[0]] = append(neighbors[pr[0]], pr[1])
 		neighbors[pr[1]] = append(neighbors[pr[1]], pr[0])
 	}
-	eating := func(m *machine.Machine, p int) bool {
-		v, ok := m.Local(p, "eating")
-		return ok && v == true
+	// The "eating" slot is resolved once per program rather than by
+	// name on every read. Sampler workers share the predicate, so the
+	// resolution is published atomically.
+	type slot struct {
+		prog *machine.Program
+		sym  machine.Sym
+		ok   bool
 	}
+	var cached atomic.Pointer[slot]
 	return func(m *machine.Machine, p int) string {
-		if p < 0 || p >= len(neighbors) || !eating(m, p) {
+		if p < 0 || p >= len(neighbors) {
+			return ""
+		}
+		sl := cached.Load()
+		if sl == nil || sl.prog != m.Program() {
+			sl = &slot{prog: m.Program()}
+			sl.sym, sl.ok = sl.prog.LookupSym("eating")
+			cached.Store(sl)
+		}
+		if !sl.ok {
+			return ""
+		}
+		eating := func(q int) bool {
+			v, ok := m.LocalAt(q, sl.sym)
+			return ok && v == true
+		}
+		if !eating(p) {
 			return ""
 		}
 		for _, q := range neighbors[p] {
-			if eating(m, q) {
+			if eating(q) {
 				a, b := p, q
 				if a > b {
 					a, b = b, a

@@ -113,14 +113,18 @@ func E16Statistical(eps float64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		base := adversary.Harness{
+			Sys:       sys,
+			Instr:     system.InstrL,
+			Prog:      prog,
+			ProcPreds: []mc.ProcPredicate{excl},
+		}
+		if err := base.Prepare(); err != nil {
+			return nil, err
+		}
 		trial := func(seed int64, depth int, capture bool) (mc.Trial, error) {
-			h := adversary.Harness{
-				Sys:       sys,
-				Instr:     system.InstrL,
-				Prog:      prog,
-				MaxSlots:  depth,
-				ProcPreds: []mc.ProcPredicate{excl},
-			}
+			h := base
+			h.MaxSlots = depth
 			seeding.Install(&h, seed)
 			r, err := h.Run()
 			if err != nil {

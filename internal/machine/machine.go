@@ -122,7 +122,8 @@ type Machine struct {
 	locked []bool
 	// Q variables: one subvalue slot per processor (unset sentinel when
 	// the processor has not posted). Copy-on-write like frame locals:
-	// subOwned[v] reports the slice is private to this machine.
+	// subOwned[v] reports the slice is private to this machine. Both are
+	// nil under every other instruction set, which never posts or peeks.
 	varSub   [][]any
 	subOwned []bool
 
@@ -726,8 +727,6 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 		frames:    make([]Frame, np),
 		varVal:    make([]any, nv),
 		locked:    make([]bool, nv),
-		varSub:    make([][]any, nv),
-		subOwned:  make([]bool, nv),
 		crashed:   make([]bool, np),
 		procSpan:  make([]fpSpan, np),
 		varSpan:   make([]fpSpan, nv),
@@ -756,12 +755,19 @@ func New(sys *system.System, instr system.InstrSet, program *Program) (*Machine,
 	}
 	for v := range m.varVal {
 		m.varVal[v] = sys.VarInit[v]
-		sub := make([]any, np)
-		for i := range sub {
-			sub[i] = unset
+	}
+	if instr == system.InstrQ {
+		// Only Q variables carry subvalues: one slot per processor.
+		m.varSub = make([][]any, nv)
+		m.subOwned = make([]bool, nv)
+		for v := range m.varSub {
+			sub := make([]any, np)
+			for i := range sub {
+				sub[i] = unset
+			}
+			m.varSub[v] = sub
+			m.subOwned[v] = true
 		}
-		m.varSub[v] = sub
-		m.subOwned[v] = true
 	}
 	// Instruction-set legality per opcode (local instructions are always
 	// legal).
@@ -848,6 +854,13 @@ func (m *Machine) Local(p int, name string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
+	return m.LocalAt(p, s)
+}
+
+// LocalAt is Local with the name already resolved to its slot (see
+// Program.LookupSym), for predicates that read the same local after
+// every step.
+func (m *Machine) LocalAt(p int, s Sym) (any, bool) {
 	v := m.frameAt(p).Locals[s]
 	if v == unset {
 		return nil, false
@@ -1877,16 +1890,7 @@ func (m *Machine) cloneInto(dst *Machine) {
 			sp.hasSpans = true
 		}
 	}
-	m.procsOwned = false
-	m.varsOwned = false
-	m.spansOwned = false
-	m.arenaOwned = false
-	if m.ovProc >= 0 {
-		// Both machines now carry the same override frame by value; its
-		// Locals slice is shared between them, so neither may trust a
-		// stale owned bit (same rule as the cleared group bits above).
-		m.ovFrame.owned = false
-	}
+	m.Freeze()
 	*dst = *m
 	dst.regs = Regs{}
 	// The compaction scratch is exclusively the parent's: sharing it
@@ -1897,6 +1901,29 @@ func (m *Machine) cloneInto(dst *Machine) {
 	dst.fpScratch = nil
 	dst.spares = sp
 	dst.slab = nil
+}
+
+// Freeze gives up the machine's ownership of every array it shares
+// with its future clones, exactly as Clone does, without making one.
+// After Freeze, Clone and CloneInto only read the machine, so one
+// goroutine per clone may clone a frozen template concurrently as long
+// as nobody steps the template itself. Harness templates are frozen
+// once when prepared; Clone freezes its source implicitly.
+func (m *Machine) Freeze() {
+	// Each bit is written only when set: a frozen source stays
+	// read-only, which is what makes concurrent clones race-free.
+	if m.procsOwned || m.varsOwned || m.spansOwned || m.arenaOwned {
+		m.procsOwned = false
+		m.varsOwned = false
+		m.spansOwned = false
+		m.arenaOwned = false
+	}
+	if m.ovProc >= 0 && m.ovFrame.owned {
+		// Both machines carry the same override frame by value after a
+		// clone; its Locals slice is shared between them, so neither may
+		// trust a stale owned bit (same rule as the group bits above).
+		m.ovFrame.owned = false
+	}
 }
 
 // Detach returns a heap copy of the machine, transferring its state and

@@ -280,7 +280,7 @@ func (s *session) snapshot(withTrace bool) Snapshot {
 		snap.Finished = true
 		snap.Done = s.res.Done
 		snap.Halted = s.res.Halted
-		snap.Fingerprint = s.res.Fingerprint
+		snap.Fingerprint = s.res.Fingerprint()
 	}
 	if withTrace {
 		res := s.res

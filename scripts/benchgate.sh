@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # benchgate.sh — benchstat-style regression gate for the tentpole
-# benchmarks, compared against the committed baseline in
-# scripts/bench_baseline.txt.
+# benchmarks and one end-to-end sampling workload (a full statistical
+# estimate on a 256-philosopher table), compared against the committed
+# baseline in scripts/bench_baseline.txt.
 #
 # Two classes of check, with very different tolerances:
 #   * allocs/op is host-independent and pinned tightly: at most
@@ -21,6 +22,7 @@ trap 'rm -f "$OUT"' EXIT
 go test -run '^$' -bench 'BenchmarkFingerprint/warm' -benchtime 2000x ./internal/machine/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkCheckThroughput/seq' -benchtime 10x ./internal/mc/ | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkChurnSplice/n=1024$' -benchtime 2000x . | tee -a "$OUT"
+go test -run '^$' -bench 'BenchmarkSampleDining256$' -benchtime 3x . | tee -a "$OUT"
 
 awk -v baseline="$BASELINE" '
 / ns\/op/ {

@@ -64,11 +64,12 @@ type StatReport struct {
 	Stats SampleStats
 }
 
-// statHarness configures one family of sampled runs: a harness template
-// plus the per-trial seeding rule. Every trial copies the template,
-// installs a freshly seeded scheduler and fault layer, and runs — so
-// trials are independent, deterministic per seed, and safe to run
-// concurrently (the shared System/Program are only read).
+// statHarness configures one family of sampled runs: a prepared base
+// harness plus the per-trial seeding rule. Every trial copies the base,
+// installs a freshly seeded scheduler and fault layer, and runs from a
+// clone of the base's frozen initial machine — so trials are
+// independent, deterministic per seed, and safe to run concurrently
+// (the shared System/Program/initial machine are only read).
 type statHarness struct {
 	base    adversary.Harness
 	seeding adversary.Seeding
@@ -110,6 +111,10 @@ func (sh *statHarness) check(name string, o Options) (*StatReport, error) {
 	}
 	if o.Depth < 0 || o.MaxSamples < 0 {
 		return nil, fmt.Errorf("%w: %s: depth %d and samples %d must be >= 0", ErrBadArgs, name, o.Depth, o.MaxSamples)
+	}
+	// Prepared once here, before the sampler fans trials out to workers.
+	if err := sh.base.Prepare(); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	res, err := mc.Sample(sh.trial, mc.SampleOptions{
 		Epsilon:     o.Epsilon,
