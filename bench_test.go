@@ -167,6 +167,33 @@ func BenchmarkSampleDining256(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckDiningFlipped4 is one exhaustive sequential closure of
+// the flipped four-philosopher table running lock-left-then-right for two
+// meals under InstrL: 366,160 states. Its allocs/op is gated by
+// scripts/benchgate.sh, so per-state bookkeeping that starts allocating
+// (or stops being reused) shows up as an end-to-end regression.
+func BenchmarkCheckDiningFlipped4(b *testing.B) {
+	sys, err := simsym.DiningFlipped(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := simsym.DiningProgram("left", "right", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := simsym.CheckDiningOpts(sys, prog, simsym.WithMaxStates(1<<30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Complete || rep.StatesExplored != 366_160 || rep.Deadlocked != nil || rep.ExclusionViolated != nil {
+			b.Fatalf("closure: complete=%v states=%d deadlock=%v exclusion=%v",
+				rep.Complete, rep.StatesExplored, rep.Deadlocked, rep.ExclusionViolated)
+		}
+	}
+}
+
 // BenchmarkSelectQ measures the full SELECT pipeline (decide + compile +
 // run) on a marked ring in Q.
 func BenchmarkSelectQ(b *testing.B) {

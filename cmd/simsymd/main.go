@@ -106,17 +106,27 @@ func run(args []string, out io.Writer) error {
 	return obsFlags.Close(out)
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that trickles them (or never finishes)
+// cannot hold a connection and its goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps h in the daemon's http.Server settings.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs the daemon until SIGINT/SIGTERM or POST /admin/drain, then
 // drains the shard pool and shuts the listener down.
 func serve(out io.Writer, cfg server.Config, addr string) error {
 	s := server.New(cfg)
 	drained := make(chan struct{}, 1)
-	hs := &http.Server{Handler: server.Handler(s, func() {
+	hs := newHTTPServer(server.Handler(s, func() {
 		select {
 		case drained <- struct{}{}:
 		default:
 		}
-	})}
+	}))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -195,7 +205,7 @@ func runLoadgen(out io.Writer, cfg server.Config, lg loadgenConfig) error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: server.Handler(srv, nil)}
+		hs := newHTTPServer(server.Handler(srv, nil))
 		go func() { _ = hs.Serve(ln) }()
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -143,4 +145,41 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestHTTPServerBoundsHeaderRead: a client that opens a connection and
+// trickles an unfinished request header is cut off by the header-read
+// timeout instead of holding the connection open.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond // same server, a test-sized bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-done
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited > 4*time.Second {
+		t.Fatalf("server held the half-sent request %v", waited)
+	}
 }

@@ -23,12 +23,3 @@ func TestAppendLenPrefixedSelfDelimiting(t *testing.T) {
 		t.Error("encoding should be deterministic")
 	}
 }
-
-func TestHashBytesMatchesStringHash(t *testing.T) {
-	// HashBytes over the canonical string must agree with Hash, so the
-	// two fingerprint paths can interoperate.
-	v := map[string]any{"pc": 3, "halted": false}
-	if HashBytes([]byte(String(v))) != Hash(v) {
-		t.Error("HashBytes([]byte(String(v))) should equal Hash(v)")
-	}
-}

@@ -309,23 +309,6 @@ func AppendLenPrefixed(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// HashBytes returns the 64-bit FNV-1a hash of b. It is the byte-slice
-// companion of Hash/HashTokens: the model checker's visited index keys
-// its buckets on it and confirms hits by comparing the exact encodings,
-// so hash quality affects only speed, never correctness.
-func HashBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= prime64
-	}
-	return h
-}
-
 // State-key delta encoding.
 //
 // A model-checker state key (machine.AppendStateKey) is a sequence of
@@ -335,13 +318,21 @@ func HashBytes(b []byte) uint64 {
 // so a key can be stored as a patch against a nearby ancestor key: the
 // delta encodes only the components that differ. The encoding is
 //
-//	uvarint(changed) (uvarint(index) component)*
+//	uvarint(changed) (uvarint(gap) component)*
 //
-// where each component is its original self-delimiting length-prefixed
-// unit and indices are strictly increasing. The codec is deterministic:
-// equal (base, key) pairs always produce byte-identical deltas, and
+// where each component is the key's own self-delimiting length-prefixed
+// unit, and gap counts the bytes of unchanged components between the
+// previous patched component (or the start of the key) and this one.
+// Unchanged components are byte-identical in base and key, so one gap
+// addresses the same run in both: decoding copies, and comparing
+// memcmp-s, each unchanged run whole, and the base's framing is read
+// only where a component is patched — never walked. Gaps are
+// non-negative, so patch positions are strictly increasing by
+// construction. For keys under 128 bytes every gap fits one byte, the
+// size a component index would take. The codec is deterministic: equal
+// (base, key) pairs always produce byte-identical deltas, and
 // ApplyKeyDelta(base, AppendKeyDelta(base, key)) == key exactly. The
-// model checker's sharded visited index stores cold keys this way.
+// model checker's visited index stores most keys this way.
 
 // keyUnitEnd returns the end offset of the length-prefixed unit starting
 // at off, or -1 when the framing is malformed.
@@ -350,11 +341,10 @@ func keyUnitEnd(key []byte, off int) int {
 	if w <= 0 {
 		return -1
 	}
-	end := off + w + int(n)
-	if end > len(key) {
+	if n > uint64(len(key)-off-w) {
 		return -1
 	}
-	return end
+	return off + w + int(n)
 }
 
 // AppendKeyDelta appends to dst a delta encoding key relative to base
@@ -363,18 +353,22 @@ func keyUnitEnd(key []byte, off int) int {
 // counts or malformed framing); the caller should then store key in
 // full. An empty delta (changed=0) is valid and means key == base.
 func AppendKeyDelta(dst, base, key []byte) (out []byte, ok bool) {
-	// Two passes over the framing: count the changed components (the
-	// uvarint count prefix must be emitted first), then emit the patches.
+	// One walk over both framings. The count prefix is reserved as one
+	// byte and widened in place only when 128 or more components changed.
 	mark := len(dst)
+	dst = append(dst, 0)
 	var changed uint64
-	bo, ko := 0, 0
+	bo, ko, last := 0, 0, 0
 	for bo < len(base) && ko < len(key) {
 		be, ke := keyUnitEnd(base, bo), keyUnitEnd(key, ko)
 		if be < 0 || ke < 0 {
 			return dst[:mark], false
 		}
 		if !bytes.Equal(base[bo:be], key[ko:ke]) {
+			dst = binary.AppendUvarint(dst, uint64(bo-last))
+			dst = append(dst, key[ko:ke]...)
 			changed++
+			last = be
 		}
 		bo, ko = be, ke
 	}
@@ -382,130 +376,93 @@ func AppendKeyDelta(dst, base, key []byte) (out []byte, ok bool) {
 		// Component counts differ or trailing garbage.
 		return dst[:mark], false
 	}
-	dst = binary.AppendUvarint(dst, changed)
-	bo, ko = 0, 0
-	idx := uint64(0)
-	for bo < len(base) && ko < len(key) {
-		be, ke := keyUnitEnd(base, bo), keyUnitEnd(key, ko)
-		if !bytes.Equal(base[bo:be], key[ko:ke]) {
-			dst = binary.AppendUvarint(dst, idx)
-			dst = append(dst, key[ko:ke]...)
-		}
-		bo, ko = be, ke
-		idx++
+	if changed < 0x80 {
+		dst[mark] = byte(changed)
+		return dst, true
 	}
+	var count [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(count[:], changed)
+	dst = append(dst, count[1:w]...)
+	copy(dst[mark+w:], dst[mark+1:len(dst)-(w-1)])
+	copy(dst[mark:], count[:w])
 	return dst, true
+}
+
+// nextPatch decodes the patch at delta[do:] against base, resuming at
+// base offset bo (the end of the previous patched component, or 0). The
+// unchanged run is base[bo:at], the base component the patch replaces is
+// base[at:be], and the replacement is delta[us:ue]. ok is false when the
+// patch is truncated, its gap runs past the base, or either component's
+// framing is malformed.
+func nextPatch(base, delta []byte, bo, do int) (at, be, us, ue int, ok bool) {
+	gap, w := binary.Uvarint(delta[do:])
+	if w <= 0 || gap > uint64(len(base)-bo) {
+		return 0, 0, 0, 0, false
+	}
+	at = bo + int(gap)
+	if be = keyUnitEnd(base, at); be < 0 {
+		return 0, 0, 0, 0, false
+	}
+	us = do + w
+	if ue = keyUnitEnd(delta, us); ue < 0 {
+		return 0, 0, 0, 0, false
+	}
+	return at, be, us, ue, true
 }
 
 // ApplyKeyDelta appends to dst the key encoded by delta relative to base
 // and returns the extended slice. It is the exact inverse of
-// AppendKeyDelta for the (base, key) pair that produced delta.
+// AppendKeyDelta for the (base, key) pair that produced delta. A
+// malformed delta is an error and leaves dst unchanged.
 func ApplyKeyDelta(dst, base, delta []byte) ([]byte, error) {
 	changed, w := binary.Uvarint(delta)
 	if w <= 0 {
 		return dst, fmt.Errorf("canon: key delta: bad count")
 	}
-	do := w
-	nextIdx, haveNext := uint64(0), false
-	advance := func() error {
-		if changed == 0 {
-			haveNext = false
-			return nil
+	mark := len(dst)
+	bo, do := 0, w
+	for i := uint64(0); i < changed; i++ {
+		at, be, us, ue, ok := nextPatch(base, delta, bo, do)
+		if !ok {
+			return dst[:mark], fmt.Errorf("canon: key delta: patch %d truncated, malformed or out of range", i)
 		}
-		i, w := binary.Uvarint(delta[do:])
-		if w <= 0 {
-			return fmt.Errorf("canon: key delta: bad index")
-		}
-		do += w
-		nextIdx, haveNext = i, true
-		changed--
-		return nil
+		dst = append(dst, base[bo:at]...)
+		dst = append(dst, delta[us:ue]...)
+		bo, do = be, ue
 	}
-	if err := advance(); err != nil {
-		return dst, err
+	if do != len(delta) {
+		return dst[:mark], fmt.Errorf("canon: key delta: %d trailing bytes", len(delta)-do)
 	}
-	bo := 0
-	for idx := uint64(0); bo < len(base); idx++ {
-		be := keyUnitEnd(base, bo)
-		if be < 0 {
-			return dst, fmt.Errorf("canon: key delta: malformed base")
-		}
-		if haveNext && nextIdx == idx {
-			de := keyUnitEnd(delta, do)
-			if de < 0 {
-				return dst, fmt.Errorf("canon: key delta: malformed component")
-			}
-			dst = append(dst, delta[do:de]...)
-			do = de
-			if err := advance(); err != nil {
-				return dst, err
-			}
-		} else {
-			dst = append(dst, base[bo:be]...)
-		}
-		bo = be
-	}
-	if haveNext || do != len(delta) {
-		return dst, fmt.Errorf("canon: key delta: component index out of range")
-	}
-	return dst, nil
+	return append(dst, base[bo:]...), nil
 }
 
 // KeyDeltaEqual reports whether applying delta to base yields exactly
 // key, without materializing the decoded result. It is the visited
-// index's hot dedup comparison: a streaming walk that memcmp-s patched
-// and copied components directly against the candidate key.
+// index's hot dedup comparison: per patch one memcmp of the unchanged
+// run and one of the replacement component against the candidate key,
+// then one of the unchanged tail. It is false wherever ApplyKeyDelta
+// would fail.
 func KeyDeltaEqual(base, delta, key []byte) bool {
 	changed, w := binary.Uvarint(delta)
 	if w <= 0 {
 		return false
 	}
-	do := w
-	nextIdx, haveNext := uint64(0), false
-	advance := func() bool {
-		if changed == 0 {
-			haveNext = false
-			return true
-		}
-		i, w := binary.Uvarint(delta[do:])
-		if w <= 0 {
+	bo, do, ko := 0, w, 0
+	for ; changed > 0; changed-- {
+		at, be, us, ue, ok := nextPatch(base, delta, bo, do)
+		if !ok {
 			return false
 		}
-		do += w
-		nextIdx, haveNext = i, true
-		changed--
-		return true
-	}
-	if !advance() {
-		return false
-	}
-	bo, ko := 0, 0
-	for idx := uint64(0); bo < len(base); idx++ {
-		be := keyUnitEnd(base, bo)
-		if be < 0 {
+		run, unit := base[bo:at], delta[us:ue]
+		if len(key)-ko < len(run)+len(unit) ||
+			!bytes.Equal(key[ko:ko+len(run)], run) ||
+			!bytes.Equal(key[ko+len(run):ko+len(run)+len(unit)], unit) {
 			return false
 		}
-		var unit []byte
-		if haveNext && nextIdx == idx {
-			de := keyUnitEnd(delta, do)
-			if de < 0 {
-				return false
-			}
-			unit = delta[do:de]
-			do = de
-			if !advance() {
-				return false
-			}
-		} else {
-			unit = base[bo:be]
-		}
-		if ko+len(unit) > len(key) || !bytes.Equal(key[ko:ko+len(unit)], unit) {
-			return false
-		}
-		ko += len(unit)
-		bo = be
+		ko += len(run) + len(unit)
+		bo, do = be, ue
 	}
-	return !haveNext && do == len(delta) && ko == len(key)
+	return do == len(delta) && bytes.Equal(key[ko:], base[bo:])
 }
 
 // HashTokens returns a 64-bit FNV-1a hash of a uint64 token stream,

@@ -2,7 +2,9 @@ package mc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -11,7 +13,7 @@ import (
 
 // stateIndex is the checker's visited set: a hash-sharded, delta-encoded
 // index over binary state keys built to hold 10⁸⁺ states. Keys are
-// routed to a shard by the top bits of their 64-bit FNV-1a hash; inside
+// routed to a shard by the top bits of their 64-bit hashKey hash; inside
 // a shard they are bucketed by the full hash and a bucket hit is
 // confirmed by comparing the exact encodings, so ids are collision-free
 // by construction — hash quality affects only speed, never verdicts.
@@ -30,7 +32,10 @@ import (
 //     points directly at a full-stored ancestor (chain length one by
 //     construction): a state delta-encodes against its parent's
 //     keyframe while the patch stays small, and becomes a new keyframe
-//     once the lineage has drifted too far.
+//     once the lineage has drifted too far. A delta entry records where
+//     its keyframe's bytes live (shard, arena offset, length) rather
+//     than the keyframe's id, so a dedup hit reads the patch and the
+//     keyframe without going through the id table.
 //   - When a hot-bytes cap is set, cold chunks spill FIFO to a per-shard
 //     file (BFS rarely re-touches old levels, so the spilled majority is
 //     read back only on genuine dedup hits against deep history). File
@@ -84,14 +89,32 @@ type indexShard struct {
 	logicalBytes int64 // bytes the full keys would have taken
 }
 
-// entry is one visited state: where its (full or delta) bytes live and
-// which full-stored ancestor a delta patches.
+// entry is one visited state: where its (full or delta) bytes live and,
+// for a delta, where the full-stored keyframe it patches lives.
 type entry struct {
-	gid int64 // dense id; -1 while staged and not yet committed
-	anc int64 // gid of the full-stored ancestor a delta patches; -1 = full
-	off int64 // logical offset of the stored bytes in the shard arena
-	n   int32 // stored length
+	gid  int64  // dense id; -1 while staged and not yet committed
+	off  int64  // logical offset of the stored bytes in the shard arena
+	anc  uint64 // keyframe a delta patches: shard<<locShift | arena offset
+	n    int32  // stored length
+	ancN int32  // keyframe length; 0 = stored full
 }
+
+// keyLoc locates a full-stored key by its bytes rather than its id: at
+// packs shard<<locShift | logical arena offset, n is the key length.
+// The zero keyLoc (n == 0) names no key. Arena offsets are stable —
+// chunks never move and spilled chunks keep their offsets on disk — so
+// a location stays valid for the index's lifetime.
+type keyLoc struct {
+	at uint64
+	n  int32
+}
+
+// locShift splits a packed location (keyLoc.at, entry.anc, and the
+// where table's entries) into shard id and shard-local position.
+const (
+	locShift = 48
+	locMask  = 1<<locShift - 1
+)
 
 const (
 	chunkShift = 16 // 64 KiB chunks
@@ -102,7 +125,7 @@ const (
 	// bucket directory's footprint is exact — bucketSlotSize bytes per
 	// allocated open-addressing slot.
 	entrySize      = 32
-	bucketSlotSize = 16 // one uint64 hash + one int64 entry index
+	bucketSlotSize = 16 // one bucketSlot: uint64 hash + int64 entry ref
 
 	// A delta is stored only while it is meaningfully smaller than the
 	// full key; otherwise the state becomes a new full-stored keyframe.
@@ -135,55 +158,94 @@ func bitLen(x int) int {
 }
 
 // bucketTable is an open-addressed multimap from full key hashes to
-// shard-local entry indices — the shard's bucket directory. It replaces
-// a map[uint64][]int64 on the probe-per-candidate hot path: a lookup is
-// one masked index plus a short linear scan (load never exceeds 3/4),
-// with no hashing of the already-hashed key and no per-key slice
-// headers. Entries sharing a full 64-bit hash (collisions, effectively
-// nonexistent) occupy separate slots along the probe chain; exact key
-// comparison disambiguates them, so probe order never affects verdicts.
+// shard-local entry indices — the shard's bucket directory. A lookup is
+// one masked index plus a short linear scan (load never exceeds 3/4)
+// over slots that each hold a hash and its entry together, so a probe
+// touches one cache line per slot, with no hashing of the
+// already-hashed key and no per-key slice headers. Entries sharing a
+// full 64-bit hash (collisions, effectively nonexistent) occupy separate
+// slots along the probe chain; exact key comparison disambiguates them,
+// so probe order never affects verdicts.
 type bucketTable struct {
-	hashes []uint64
-	eis    []int64 // -1 marks an empty slot
-	mask   uint64
-	n      int
+	slots []bucketSlot
+	mask  uint64
+	n     int
+}
+
+// bucketSlot is one directory slot: ref is the entry index plus one, so
+// a zeroed slot is empty and a fresh table needs no initialization.
+type bucketSlot struct {
+	hash uint64
+	ref  int64
 }
 
 // add inserts an entry index under hash, growing at 3/4 load.
 func (bt *bucketTable) add(hash uint64, ei int64) {
-	if bt.n*4 >= len(bt.eis)*3 {
+	if bt.n*4 >= len(bt.slots)*3 {
 		bt.grow()
 	}
-	sl := hash & bt.mask
-	for bt.eis[sl] >= 0 {
-		sl = (sl + 1) & bt.mask
-	}
-	bt.hashes[sl], bt.eis[sl] = hash, ei
+	bt.place(bucketSlot{hash: hash, ref: ei + 1})
 	bt.n++
 }
 
+// place puts s in the first free slot of its probe chain.
+func (bt *bucketTable) place(s bucketSlot) {
+	sl := s.hash & bt.mask
+	for bt.slots[sl].ref != 0 {
+		sl = (sl + 1) & bt.mask
+	}
+	bt.slots[sl] = s
+}
+
 func (bt *bucketTable) grow() {
-	oldH, oldE := bt.hashes, bt.eis
+	old := bt.slots
 	size := 1024
-	if len(oldE) > 0 {
-		size = len(oldE) * 2
+	if len(old) > 0 {
+		size = len(old) * 2
 	}
-	bt.hashes = make([]uint64, size)
-	bt.eis = make([]int64, size)
-	for i := range bt.eis {
-		bt.eis[i] = -1
-	}
+	bt.slots = make([]bucketSlot, size)
 	bt.mask = uint64(size - 1)
-	for i, ei := range oldE {
-		if ei < 0 {
-			continue
+	for _, s := range old {
+		if s.ref != 0 {
+			bt.place(s)
 		}
-		sl := oldH[i] & bt.mask
-		for bt.eis[sl] >= 0 {
-			sl = (sl + 1) & bt.mask
-		}
-		bt.hashes[sl], bt.eis[sl] = oldH[i], ei
 	}
+}
+
+// hashKey is the index's key hash: a fixed-constant multiply-fold over
+// the key eight bytes at a time (sixteen per round), after the wyhash
+// construction. Each round folds the full 128-bit product of two words
+// into the state, and the final round does the same to the length, so
+// every input bit reaches the top bits shardOf routes on. Collisions are
+// harmless (bucket hits are confirmed by exact comparison); the hash
+// only has to be fast and spread well.
+func hashKey(b []byte) uint64 {
+	const (
+		k0 = 0xa0761d6478bd642f
+		k1 = 0xe7037ed1a0b428db
+		k2 = 0x8ebc6af09c88c6e3
+	)
+	n := uint64(len(b))
+	h := k0 ^ n
+	for ; len(b) > 16; b = b[16:] {
+		h = fold(binary.LittleEndian.Uint64(b)^k1, binary.LittleEndian.Uint64(b[8:])^h)
+	}
+	var x, y uint64
+	switch {
+	case len(b) >= 8:
+		x, y = binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[len(b)-8:])
+	case len(b) >= 4:
+		x, y = uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[len(b)-4:]))
+	case len(b) > 0:
+		x = uint64(b[0])<<16 | uint64(b[len(b)>>1])<<8 | uint64(b[len(b)-1])
+	}
+	return fold(fold(x^k1, y^h)^k2, n^k1)
+}
+
+// fold multiplies a and b to 128 bits and xors the halves together.
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // shardOf routes a key hash to its owning shard.
@@ -197,27 +259,21 @@ func (t *stateIndex) shardOf(hash uint64) int {
 // nextGID is the id the next committed state will receive.
 func (t *stateIndex) nextGID() int64 { return t.baseID + int64(len(t.where)) }
 
-// entryAt resolves a committed gid to its shard and entry.
-func (t *stateIndex) entryAt(gid int64) (*indexShard, *entry) {
-	loc := t.where[gid-t.baseID]
-	sh := &t.shards[loc>>48]
-	return sh, &sh.entries[loc&(1<<48-1)]
-}
-
 // lookupHashed reports whether key (with its precomputed hash) is
 // already indexed, and its id if so. Coordinator-only: comparing against
 // delta-stored or spilled entries may touch any shard.
 func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, err error) {
 	sh := &t.shards[t.shardOf(hash)]
 	bt := &sh.buckets
-	if bt.eis == nil {
+	if bt.slots == nil {
 		return 0, false, nil
 	}
-	for sl := hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
-		if bt.hashes[sl] != hash {
+	for sl := hash & bt.mask; bt.slots[sl].ref != 0; sl = (sl + 1) & bt.mask {
+		s := bt.slots[sl]
+		if s.hash != hash {
 			continue
 		}
-		e := &sh.entries[bt.eis[sl]]
+		e := &sh.entries[s.ref-1]
 		eq, err := t.entryEqual(sh, e, key)
 		if err != nil {
 			return 0, false, err
@@ -231,54 +287,55 @@ func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, 
 
 // entryEqual compares a stored entry against a candidate key exactly.
 // Full entries compare directly; delta entries stream-compare via
-// canon.KeyDeltaEqual against their ancestor's bytes without
-// materializing the patched key. Spilled bytes are read back through the
-// coordinator scratch buffers.
+// canon.KeyDeltaEqual against their keyframe's bytes, read straight from
+// the recorded location, without materializing the patched key. Spilled
+// bytes are read back through the coordinator scratch buffers.
 func (t *stateIndex) entryEqual(sh *indexShard, e *entry, key []byte) (bool, error) {
 	raw, err := sh.read(e.off, int(e.n), &t.scrA)
 	if err != nil {
 		return false, err
 	}
-	if e.anc < 0 {
+	if e.ancN == 0 {
 		return bytes.Equal(raw, key), nil
 	}
-	ancSh, ancE := t.entryAt(e.anc)
-	ancRaw, err := ancSh.read(ancE.off, int(ancE.n), &t.scrB)
+	ancSh := &t.shards[e.anc>>locShift]
+	ancRaw, err := ancSh.read(int64(e.anc&locMask), int(e.ancN), &t.scrB)
 	if err != nil {
 		return false, err
 	}
 	return canon.KeyDeltaEqual(ancRaw, raw, key), nil
 }
 
-// ancestorFor returns the full-stored ancestor of a committed state: the
-// state itself when stored full, its keyframe otherwise. Hot entries are
-// returned zero-copy (chunks never move, so the slice stays valid);
-// spilled entries are appended into arena with stable-arena semantics —
-// earlier slices handed out from the same arena remain valid.
-// Coordinator-only.
-func (t *stateIndex) ancestorFor(gid int64, arena *[]byte) (ancGID int64, ancKey []byte, err error) {
-	sh, e := t.entryAt(gid)
-	if e.anc >= 0 {
-		gid = e.anc
-		sh, e = t.entryAt(gid)
+// ancestorFor returns the full-stored ancestor of a committed state —
+// the state itself when stored full, its keyframe otherwise — as a
+// location plus the key bytes. Hot keys are returned zero-copy (chunks
+// never move, so the slice stays valid); spilled keys are appended into
+// arena with stable-arena semantics — earlier slices handed out from the
+// same arena remain valid. Coordinator-only.
+func (t *stateIndex) ancestorFor(gid int64, arena *[]byte) (keyLoc, []byte, error) {
+	w := t.where[gid-t.baseID]
+	sh := &t.shards[w>>locShift]
+	e := &sh.entries[w&locMask]
+	loc := keyLoc{at: w&^locMask | uint64(e.off), n: e.n}
+	if e.ancN > 0 {
+		loc = keyLoc{at: e.anc, n: e.ancN}
+		sh = &t.shards[e.anc>>locShift]
 	}
-	// Ancestors are full-stored by construction (a delta's anc always
-	// names a keyframe).
-	key, err := sh.readStable(e.off, int(e.n), arena)
+	key, err := sh.readStable(int64(loc.at&locMask), int(loc.n), arena)
 	if err != nil {
-		return 0, nil, err
+		return keyLoc{}, nil, err
 	}
-	return gid, key, nil
+	return loc, key, nil
 }
 
 // insert commits key (not yet present; hash as from lookupHashed) with
-// the next dense id and returns it. ancGID/ancKey name the full-stored
-// ancestor candidate for delta encoding; ancGID < 0 forces full storage.
-// key is copied; the caller keeps ownership of its buffer.
+// the next dense id and returns it. anc/ancKey name the full-stored
+// ancestor candidate for delta encoding; the zero keyLoc forces full
+// storage. key is copied; the caller keeps ownership of its buffer.
 // Coordinator-only.
-func (t *stateIndex) insert(key []byte, hash uint64, ancGID int64, ancKey []byte) int64 {
+func (t *stateIndex) insert(key []byte, hash uint64, anc keyLoc, ancKey []byte) int64 {
 	si := t.shardOf(hash)
-	ei := t.shards[si].stage(key, hash, ancGID, ancKey)
+	ei := t.shards[si].stage(key, hash, anc, ancKey)
 	return t.commitStaged(si, ei)
 }
 
@@ -288,33 +345,34 @@ func (t *stateIndex) commitStaged(si int, ei int64) int64 {
 	sh := &t.shards[si]
 	gid := t.nextGID()
 	sh.entries[ei].gid = gid
-	t.where = append(t.where, uint64(si)<<48|uint64(ei))
+	t.where = append(t.where, uint64(si)<<locShift|uint64(ei))
 	return gid
 }
 
-// stage appends key to the shard: delta-encoded against ancKey when the
-// patch wins by the deltaNum/deltaDen margin, full otherwise. The entry
-// starts uncommitted (gid -1). Owner-only.
-func (sh *indexShard) stage(key []byte, hash uint64, ancGID int64, ancKey []byte) int64 {
+// stage appends key to the shard: delta-encoded against the keyframe
+// at anc (bytes ancKey) when the patch wins by the deltaNum/deltaDen
+// margin, full otherwise. The entry starts uncommitted (gid -1).
+// Owner-only.
+func (sh *indexShard) stage(key []byte, hash uint64, anc keyLoc, ancKey []byte) int64 {
 	stored := key
-	anc := int64(-1)
-	if ancGID >= 0 && len(ancKey) > 0 {
+	e := entry{gid: -1}
+	if anc.n > 0 {
 		if delta, ok := canon.AppendKeyDelta(sh.scratch[:0], ancKey, key); ok {
 			sh.scratch = delta
 			if len(delta)*deltaDen <= len(key)*deltaNum {
 				stored = delta
-				anc = ancGID
+				e.anc, e.ancN = anc.at, anc.n
 			}
 		}
 	}
-	off := sh.write(stored)
-	if anc >= 0 {
+	e.off, e.n = sh.write(stored), int32(len(stored))
+	if e.ancN > 0 {
 		sh.deltaStates++
 	}
 	sh.storedBytes += int64(len(stored))
 	sh.logicalBytes += int64(len(key))
 	ei := int64(len(sh.entries))
-	sh.entries = append(sh.entries, entry{gid: -1, anc: anc, off: off, n: int32(len(stored))})
+	sh.entries = append(sh.entries, e)
 	sh.buckets.add(hash, ei)
 	return ei
 }
@@ -540,7 +598,7 @@ func (t *stateIndex) memBytes() int64 {
 		sh := &t.shards[i]
 		total += sh.hotBytes()
 		total += int64(cap(sh.entries)) * entrySize
-		total += int64(len(sh.buckets.eis)) * bucketSlotSize
+		total += int64(len(sh.buckets.slots)) * bucketSlotSize
 		total += int64(cap(sh.scratch))
 	}
 	return total

@@ -14,8 +14,8 @@ import (
 // however wide the level grows. Each window runs four steps:
 //
 //  1. Resolve (coordinator): look up each frontier state's delta
-//     ancestor — gid plus full key bytes — so the steps below never
-//     read another shard or the spill file.
+//     ancestor — keyframe location plus full key bytes — so the steps
+//     below never read another shard or the spill file.
 //  2. Expand: clone, step, canonicalize and hash every successor —
 //     inline when Workers ≤ 1, fanned out over Workers goroutines
 //     otherwise.
@@ -66,7 +66,7 @@ func (c *checker) runLevel() (bool, error) {
 	size := windowPerWorker * workers
 	if len(c.batches) < size {
 		c.batches = make([]batch, size)
-		c.ancGIDs = make([]int64, size)
+		c.ancLocs = make([]keyLoc, size)
 		c.ancKeys = make([][]byte, size)
 		c.outcomes = make([]shardOutcome, size*c.nProcs)
 	}
@@ -87,14 +87,14 @@ func (c *checker) runWindow(lo, hi, workers int) (bool, error) {
 	// Resolve. Hot ancestors alias arena chunks — safe during staging
 	// because chunks are append-only and never move; spilled ancestors
 	// are copied into a stable arena.
-	ancGIDs, ancKeys := c.ancGIDs[:n], c.ancKeys[:n]
+	ancLocs, ancKeys := c.ancLocs[:n], c.ancKeys[:n]
 	c.ancArena = c.ancArena[:0]
 	for i, idx := range c.levelIdx[lo:hi] {
-		gid, key, err := c.idx.ancestorFor(c.idx.baseID+int64(idx), &c.ancArena)
+		loc, key, err := c.idx.ancestorFor(c.idx.baseID+int64(idx), &c.ancArena)
 		if err != nil {
 			return true, err
 		}
-		ancGIDs[i], ancKeys[i] = gid, key
+		ancLocs[i], ancKeys[i] = loc, key
 	}
 
 	// Expand into per-state batches.
@@ -115,11 +115,11 @@ func (c *checker) runWindow(lo, hi, workers int) (bool, error) {
 	if len(c.idx.shards) > 1 {
 		stagers := min(workers, len(c.idx.shards))
 		fanOut(stagers, func(w int) {
-			c.stagePartition(w, stagers, batches, ancGIDs, ancKeys, outcomes)
+			c.stagePartition(w, stagers, batches, ancLocs, ancKeys, outcomes)
 		})
 	}
 
-	return c.commitLevel(lo, batches, ancGIDs, ancKeys, outcomes)
+	return c.commitLevel(lo, batches, ancLocs, ancKeys, outcomes)
 }
 
 // expandRange expands frontier states [lo, hi) of a window into their
@@ -148,7 +148,7 @@ func fanOut(workers int, fn func(w int)) {
 // stagePartition is one staging worker: it scans every span of the
 // window in frontier order and handles those owned by its shard
 // partition (shard index modulo stride).
-func (c *checker) stagePartition(w, stride int, batches []batch, ancGIDs []int64, ancKeys [][]byte, outcomes []shardOutcome) {
+func (c *checker) stagePartition(w, stride int, batches []batch, ancLocs []keyLoc, ancKeys [][]byte, outcomes []shardOutcome) {
 	t := c.idx
 	for i := range batches {
 		b := &batches[i]
@@ -169,14 +169,15 @@ func (c *checker) stagePartition(w, stride int, batches []batch, ancGIDs []int64
 			out := shardOutcome(outDeferred)
 			comparable := true
 			bt := &sh.buckets
-			if bt.eis != nil {
-				for sl := sp.hash & bt.mask; bt.eis[sl] >= 0; sl = (sl + 1) & bt.mask {
-					if bt.hashes[sl] != sp.hash {
+			if bt.slots != nil {
+				for sl := sp.hash & bt.mask; bt.slots[sl].ref != 0; sl = (sl + 1) & bt.mask {
+					s := bt.slots[sl]
+					if s.hash != sp.hash {
 						continue
 					}
-					ei := bt.eis[sl]
+					ei := s.ref - 1
 					e := &sh.entries[ei]
-					if e.anc >= 0 || e.off < sh.bound {
+					if e.ancN > 0 || e.off < sh.bound {
 						// Delta-stored (ancestor may live on another shard)
 						// or spilled: not locally comparable.
 						comparable = false
@@ -191,7 +192,7 @@ func (c *checker) stagePartition(w, stride int, batches []batch, ancGIDs []int64
 				}
 			}
 			if out == outDeferred && comparable {
-				out = outStaged<<48 | sh.stage(key, sp.hash, ancGIDs[i], ancKeys[i])
+				out = outStaged<<48 | sh.stage(key, sp.hash, ancLocs[i], ancKeys[i])
 			}
 			outcomes[base+p] = out
 		}
@@ -205,7 +206,7 @@ func (c *checker) stagePartition(w, stride int, batches []batch, ancGIDs []int64
 // successor graph); staged entries just need an id, hits are
 // pre-verified, deferred spans take the full index lookup; the state
 // budget is checked before each new state and the other budgets after.
-func (c *checker) commitLevel(lo int, batches []batch, ancGIDs []int64, ancKeys [][]byte, outcomes []shardOutcome) (bool, error) {
+func (c *checker) commitLevel(lo int, batches []batch, ancLocs []keyLoc, ancKeys [][]byte, outcomes []shardOutcome) (bool, error) {
 	for i := range batches {
 		b := &batches[i]
 		if b.err != nil {
@@ -256,7 +257,7 @@ func (c *checker) commitLevel(lo int, batches []batch, ancGIDs []int64, ancKeys 
 					if c.res.StatesExplored >= c.maxStates {
 						return true, c.exhaust("states")
 					}
-					gid = c.idx.insert(key, sp.hash, ancGIDs[i], ancKeys[i])
+					gid = c.idx.insert(key, sp.hash, ancLocs[i], ancKeys[i])
 					isNew = true
 				}
 			}

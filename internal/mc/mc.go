@@ -41,9 +41,9 @@ import (
 	"fmt"
 	"slices"
 	"time"
+	"unsafe"
 
 	"simsym/internal/autgrp"
-	"simsym/internal/canon"
 	"simsym/internal/machine"
 	"simsym/internal/obs"
 	"simsym/internal/system"
@@ -215,12 +215,17 @@ type Result struct {
 	Stats Stats
 }
 
-// node is interned exploration bookkeeping.
+// node is interned exploration bookkeeping. It holds no pointers, so
+// the nodes slice is never scanned by the garbage collector and grows by
+// a plain copy: successor edges live in the checker's succArena at
+// [succOff, succOff+succN), and the stuck reason is an index into the
+// checker's interned reason table.
 type node struct {
-	parent int // index of parent node; -1 for root
-	step   int // processor stepped to reach this state
-	stuck  string
-	succs  []int
+	parent  int   // index of parent node; -1 for root
+	succOff int   // offset of the node's first successor in succArena
+	step    int32 // processor stepped to reach this state
+	succN   int32 // number of successor edges
+	stuck   int32 // index into stuckReasons; 0 = not flagged
 }
 
 // succSpan locates one successor's key inside a batch arena, along with
@@ -272,17 +277,22 @@ type checker struct {
 	// Level-pipeline bookkeeping (see level.go): per-frontier-state delta
 	// ancestors resolved before expansion, per-successor staging
 	// outcomes, and the stable arena spilled ancestor keys are read into.
-	ancGIDs  []int64
+	ancLocs  []keyLoc
 	ancKeys  [][]byte
 	ancArena []byte
 	outcomes []int64
 
-	// succArena backs every node's succs list. A node's successors are
-	// committed contiguously (the commit pass walks (frontier index,
-	// processor) in canonical order, one node at a time), so each list is
-	// a window re-sliced from the arena tail after each append — one
-	// amortized allocation for the whole graph instead of one per node.
+	// succArena holds every node's successor edges. A node's successors
+	// are committed contiguously (the commit pass walks (frontier index,
+	// processor) in canonical order, one node at a time), so each node
+	// records only the offset and count of its window — one amortized
+	// allocation for the whole graph instead of one per node.
 	succArena []int
+
+	// stuckReasons interns the StuckBad reasons nodes refer to by index;
+	// entry 0 is "" (not flagged).
+	stuckReasons []string
+	stuckIndex   map[string]int32
 
 	// machSlab carves storage for kept machines (DetachTo) in chunks, one
 	// allocation per chunk instead of one per adopted state. Chunks
@@ -329,14 +339,37 @@ func (c *checker) recycleKept() {
 
 // appendSucc records id as curIdx's next successor. Relies on the
 // commit-order invariant above: a node's window is always the arena
-// tail while it is being appended to. A growth realloc copies the whole
-// arena, so re-slicing by index stays correct; stale windows in the old
-// backing are never mutated.
+// tail while it is being appended to.
 func (c *checker) appendSucc(curIdx, id int) {
 	nd := &c.nodes[curIdx]
-	start := len(c.succArena) - len(nd.succs)
+	if nd.succN == 0 {
+		nd.succOff = len(c.succArena)
+	}
 	c.succArena = append(c.succArena, id)
-	nd.succs = c.succArena[start:len(c.succArena):len(c.succArena)]
+	nd.succN++
+}
+
+// internStuck returns reason's index in the stuck-reason table, adding
+// it on first sight. Predicates usually return one constant reason, so
+// the newest entry is checked before the map.
+func (c *checker) internStuck(reason string) int32 {
+	if reason == "" {
+		return 0
+	}
+	if n := len(c.stuckReasons); n > 1 && c.stuckReasons[n-1] == reason {
+		return int32(n - 1)
+	}
+	i, ok := c.stuckIndex[reason]
+	if !ok {
+		if c.stuckIndex == nil {
+			c.stuckIndex = make(map[string]int32)
+			c.stuckReasons = []string{""}
+		}
+		i = int32(len(c.stuckReasons))
+		c.stuckReasons = append(c.stuckReasons, reason)
+		c.stuckIndex[reason] = i
+	}
+	return i
 }
 
 // Check explores all schedules of the machine produced by factory().
@@ -398,7 +431,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 			}
 		}
 	}
-	c.idx.insert(rootKey, canon.HashBytes(rootKey), -1, nil)
+	c.idx.insert(rootKey, hashKey(rootKey), keyLoc{}, nil)
 	rootIdx := c.adopt(m0, -1, -1)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
@@ -449,9 +482,9 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	c.res.Complete = true
 
 	if c.opts.StuckBad != nil {
-		if idx, reason := findStuckComponent(c.nodes); idx >= 0 {
+		if idx, reason := findStuckComponent(c.nodes, c.succArena); idx >= 0 {
 			c.res.Violation = &Violation{
-				Reason:   "stuck: " + reason,
+				Reason:   "stuck: " + c.stuckReasons[reason],
 				Schedule: c.scheduleTo(idx),
 			}
 		}
@@ -546,7 +579,7 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 			key := b.arena[start:]
 			selfLoop = bytes.Equal(key, curKey)
 			if !selfLoop {
-				hash = canon.HashBytes(key)
+				hash = hashKey(key)
 			}
 		} else {
 			// Symmetry mode compares the raw key against its whole orbit
@@ -557,7 +590,7 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 			key := raw
 			if !selfLoop {
 				key = c.minimizeKey(next, b)
-				hash = canon.HashBytes(key)
+				hash = hashKey(key)
 			}
 			b.arena = append(b.arena, key...)
 		}
@@ -594,12 +627,12 @@ func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
 func (c *checker) adopt(m *machine.Machine, parent, step int) int {
 	m.SetSlab(&c.cowSlab)
 	m.PrimeFingerprints()
-	stuck := ""
+	var stuck int32
 	if c.opts.StuckBad != nil {
-		stuck = c.opts.StuckBad(m)
+		stuck = c.internStuck(c.opts.StuckBad(m))
 	}
 	id := len(c.nodes)
-	c.nodes = append(c.nodes, node{parent: parent, step: step, stuck: stuck})
+	c.nodes = append(c.nodes, node{parent: parent, step: int32(step), stuck: stuck})
 	c.next = append(c.next, m)
 	c.nextIdx = append(c.nextIdx, id)
 	c.res.StatesExplored++
@@ -645,11 +678,11 @@ func (c *checker) pollBudgets() (bool, error) {
 
 // memEstimate approximates the checker's resident footprint: the visited
 // index plus per-node bookkeeping and successor edges. Capacities, not
-// lengths: the nodes slice's grown backing array is real memory whether
-// or not it is full yet.
+// lengths: the nodes slice's and edge arena's grown backing arrays are
+// real memory whether or not they are full yet.
 func (c *checker) memEstimate() int64 {
-	const nodeOverhead = 80 // node struct + slice headers, amortized
-	return c.idx.memBytes() + int64(cap(c.nodes))*nodeOverhead + c.stats.Transitions*8
+	return c.idx.memBytes() + int64(cap(c.nodes))*int64(unsafe.Sizeof(node{})) +
+		int64(cap(c.succArena))*int64(unsafe.Sizeof(int(0)))
 }
 
 // exhaust records which budget ended the run; with Options.Partial the
@@ -666,7 +699,7 @@ func (c *checker) exhaust(kind string) error {
 func (c *checker) scheduleTo(idx int) []int {
 	var rev []int
 	for idx >= 0 && c.nodes[idx].parent >= 0 {
-		rev = append(rev, c.nodes[idx].step)
+		rev = append(rev, int(c.nodes[idx].step))
 		idx = c.nodes[idx].parent
 	}
 	out := make([]int, len(rev))
@@ -702,11 +735,13 @@ func isIdentity(perm system.Permutation) bool {
 
 // findStuckComponent runs Tarjan's SCC algorithm (iteratively) and
 // returns a representative node of the first terminal SCC whose states
-// are all flagged stuck, or (-1, ""). Under symmetry reduction the graph
-// is the orbit quotient; a terminal all-bad component there corresponds
-// to one in the full graph because the stuck predicate is
+// are all flagged stuck, with the stuck-reason index of its first
+// flagged member, or (-1, 0). Node v's edges are
+// succs[nodes[v].succOff:][:nodes[v].succN]. Under symmetry reduction
+// the graph is the orbit quotient; a terminal all-bad component there
+// corresponds to one in the full graph because the stuck predicate is
 // automorphism-invariant.
-func findStuckComponent(nodes []node) (int, string) {
+func findStuckComponent(nodes []node, succs []int) (int, int32) {
 	n := len(nodes)
 	const unvisited = -1
 	indexOf := make([]int, n)
@@ -737,8 +772,8 @@ func findStuckComponent(nodes []node) (int, string) {
 		for len(callStack) > 0 {
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
-			if fr.childPos < len(nodes[v].succs) {
-				w := nodes[v].succs[fr.childPos]
+			if nd := &nodes[v]; fr.childPos < int(nd.succN) {
+				w := succs[nd.succOff+fr.childPos]
 				fr.childPos++
 				if indexOf[w] == unvisited {
 					indexOf[w] = counter
@@ -781,7 +816,7 @@ func findStuckComponent(nodes []node) (int, string) {
 	// when every member is flagged.
 	terminal := make([]bool, nComps)
 	allBad := make([]bool, nComps)
-	reason := make([]string, nComps)
+	reason := make([]int32, nComps)
 	repr := make([]int, nComps)
 	for c := range terminal {
 		terminal[c] = true
@@ -793,12 +828,13 @@ func findStuckComponent(nodes []node) (int, string) {
 		if repr[c] == -1 {
 			repr[c] = v
 		}
-		if nodes[v].stuck == "" {
+		nd := &nodes[v]
+		if nd.stuck == 0 {
 			allBad[c] = false
-		} else if reason[c] == "" {
-			reason[c] = nodes[v].stuck
+		} else if reason[c] == 0 {
+			reason[c] = nd.stuck
 		}
-		for _, w := range nodes[v].succs {
+		for _, w := range succs[nd.succOff : nd.succOff+int(nd.succN)] {
 			if comp[w] != c {
 				terminal[c] = false
 			}
@@ -809,7 +845,7 @@ func findStuckComponent(nodes []node) (int, string) {
 			return repr[c], reason[c]
 		}
 	}
-	return -1, ""
+	return -1, 0
 }
 
 // UniquenessPred flags states with two or more selected processors — the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -11,6 +12,15 @@ import (
 // TenantHeader names the HTTP header attributing step/run requests to a
 // rate-limit tenant (session creates carry the tenant in their body).
 const TenantHeader = "X-Simsym-Tenant"
+
+// maxBodyBytes bounds every request body the API decodes. The largest
+// legitimate body is a session config or reload carrying an inline
+// topology, orders of magnitude smaller; a body past the bound is
+// refused with 413 once the bound is read, never buffered whole.
+const maxBodyBytes = 1 << 20
+
+// errBodyTooLarge is the 413 response's error.
+var errBodyTooLarge = fmt.Errorf("server: request body exceeds %d bytes", maxBodyBytes)
 
 // Handler serves the session API over HTTP/JSON:
 //
@@ -28,13 +38,13 @@ const TenantHeader = "X-Simsym-Tenant"
 //	POST   /admin/drain           graceful drain; responds when complete
 //
 // Backpressure and rate limiting surface as 429 (full shard queue,
-// exhausted tenant bucket), draining and the session cap as 503.
+// exhausted tenant bucket), draining and the session cap as 503, and a
+// request body over maxBodyBytes as 413.
 func Handler(s *Server, onDrained func()) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var cfg SessionConfig
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &cfg) {
 			return
 		}
 		snap, err := s.Create(cfg)
@@ -64,11 +74,8 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		var body struct {
 			Slots int `json:"slots"`
 		}
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, &body) {
+			return
 		}
 		snap, err := s.Step(r.PathValue("id"), body.Slots, r.Header.Get(TenantHeader))
 		if err != nil {
@@ -89,8 +96,7 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		var body struct {
 			Topology string `json:"topology"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		snap, err := s.Reload(r.PathValue("id"), body.Topology, r.Header.Get(TenantHeader))
@@ -135,6 +141,23 @@ func Handler(s *Server, onDrained func()) http.Handler {
 		}
 	})
 	return mux
+}
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 for an oversized body,
+// 400 for malformed JSON — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+	default:
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -293,3 +293,42 @@ func TestHTTPTopologyReload(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPBodyLimit: create, step and topology bodies past maxBodyBytes
+// are refused with 413 and a JSON error before any decoding finishes,
+// and the session they aimed at is untouched.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := New(Config{Shards: 2})
+	ts := httptest.NewServer(Handler(s, nil))
+	defer ts.Close()
+	c := ts.Client()
+	var snap Snapshot
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", selectConfig(5), http.StatusCreated, &snap)
+
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/sessions", map[string]string{"topology": huge}},
+		{"/v1/sessions/" + snap.ID + "/step", map[string]any{"slots": 1, "pad": huge}},
+		{"/v1/sessions/" + snap.ID + "/topology", map[string]string{"topology": huge}},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		doJSON(t, c, "POST", ts.URL+tc.path, tc.body, http.StatusRequestEntityTooLarge, &e)
+		if e.Error != errBodyTooLarge.Error() {
+			t.Errorf("POST %s: error %q, want %q", tc.path, e.Error, errBodyTooLarge)
+		}
+	}
+	var after Snapshot
+	doJSON(t, c, "GET", ts.URL+"/v1/sessions/"+snap.ID, nil, http.StatusOK, &after)
+	if after.Slots != snap.Slots {
+		t.Errorf("refused step advanced the session: slots %d -> %d", snap.Slots, after.Slots)
+	}
+	// A body just under the bound still decodes (and fails only on its
+	// content).
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", map[string]string{"topology": huge[:maxBodyBytes-64]},
+		http.StatusBadRequest, nil)
+}
