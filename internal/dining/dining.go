@@ -101,13 +101,14 @@ func ExclusionPred(sys *system.System) (mc.StatePredicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	eating := func(m *machine.Machine, p int) bool {
-		v, ok := m.Local(p, "eating")
-		return ok && v == true
-	}
+	var eat eatingSlot
 	return func(m *machine.Machine) string {
+		sym, ok := eat.of(m.Program())
+		if !ok {
+			return ""
+		}
 		for _, pr := range pairs {
-			if eating(m, pr[0]) && eating(m, pr[1]) {
+			if eatingAt(m, pr[0], sym) && eatingAt(m, pr[1], sym) {
 				return fmt.Sprintf("adjacent philosophers %d and %d eating together", pr[0], pr[1])
 			}
 		}
@@ -132,37 +133,17 @@ func LocalExclusionPred(sys *system.System) (mc.ProcPredicate, error) {
 		neighbors[pr[0]] = append(neighbors[pr[0]], pr[1])
 		neighbors[pr[1]] = append(neighbors[pr[1]], pr[0])
 	}
-	// The "eating" slot is resolved once per program rather than by
-	// name on every read. Sampler workers share the predicate, so the
-	// resolution is published atomically.
-	type slot struct {
-		prog *machine.Program
-		sym  machine.Sym
-		ok   bool
-	}
-	var cached atomic.Pointer[slot]
+	var eat eatingSlot
 	return func(m *machine.Machine, p int) string {
 		if p < 0 || p >= len(neighbors) {
 			return ""
 		}
-		sl := cached.Load()
-		if sl == nil || sl.prog != m.Program() {
-			sl = &slot{prog: m.Program()}
-			sl.sym, sl.ok = sl.prog.LookupSym("eating")
-			cached.Store(sl)
-		}
-		if !sl.ok {
-			return ""
-		}
-		eating := func(q int) bool {
-			v, ok := m.LocalAt(q, sl.sym)
-			return ok && v == true
-		}
-		if !eating(p) {
+		sym, ok := eat.of(m.Program())
+		if !ok || !eatingAt(m, p, sym) {
 			return ""
 		}
 		for _, q := range neighbors[p] {
-			if eating(q) {
+			if eatingAt(m, q, sym) {
 				a, b := p, q
 				if a > b {
 					a, b = b, a
@@ -172,6 +153,39 @@ func LocalExclusionPred(sys *system.System) (mc.ProcPredicate, error) {
 		}
 		return ""
 	}, nil
+}
+
+// eatingSlot resolves the "eating" local to its slot once per program
+// rather than by name on every read — the one recipe both exclusion
+// predicates share. Predicates are shared by sampler workers, so the
+// resolution is published atomically; a worker that races another's
+// store at worst resolves the same program again.
+type eatingSlot struct {
+	cached atomic.Pointer[resolvedSlot]
+}
+
+type resolvedSlot struct {
+	prog *machine.Program
+	sym  machine.Sym
+	ok   bool
+}
+
+// of returns prog's "eating" slot; ok is false when the program never
+// interns the name, so no philosopher can be eating.
+func (e *eatingSlot) of(prog *machine.Program) (machine.Sym, bool) {
+	sl := e.cached.Load()
+	if sl == nil || sl.prog != prog {
+		sl = &resolvedSlot{prog: prog}
+		sl.sym, sl.ok = prog.LookupSym("eating")
+		e.cached.Store(sl)
+	}
+	return sl.sym, sl.ok
+}
+
+// eatingAt reports whether philosopher p's eating slot holds true.
+func eatingAt(m *machine.Machine, p int, sym machine.Sym) bool {
+	v, ok := m.LocalAt(p, sym)
+	return ok && v == true
 }
 
 // Report is the outcome of analyzing a dining table with a program.

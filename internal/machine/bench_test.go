@@ -155,7 +155,7 @@ func BenchmarkFingerprint(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		m.PrimeFingerprints()
+		m.PrimeFromKey(m.AppendStateKey(nil, nil, nil))
 		buf := make([]byte, 0, 4*len(m.AppendStateKey(nil, nil, nil)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -165,7 +165,7 @@ func BenchmarkFingerprint(b *testing.B) {
 	})
 	b.Run("step", func(b *testing.B) {
 		m := setup()
-		m.PrimeFingerprints()
+		m.PrimeFromKey(m.AppendStateKey(nil, nil, nil))
 		buf := make([]byte, 0, 256)
 		b.ReportAllocs()
 		b.ResetTimer()

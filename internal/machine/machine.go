@@ -136,8 +136,8 @@ type Machine struct {
 	// array; the first mutating step afterwards copies just the group it
 	// touches (cowProcs/cowVars/cowSpans). The span group is split out
 	// because every step invalidates a cache bit but most steps leave
-	// whole value groups untouched — and PrimeFingerprints must rewrite
-	// span offsets without paying for a var-side value copy. When an
+	// whole value groups untouched — and rebuildArena must rewrite span
+	// offsets without paying for a var-side value copy. When an
 	// array group is shared, its finer-grained ownership bits
 	// (Frame.owned, subOwned) are stale and ignored — the cow of the
 	// outer array resets them.
@@ -168,8 +168,9 @@ type Machine struct {
 	// covered by valid spans so arenaReserve can compact garbage into
 	// fpScratch (a ping-pong buffer, never shared: Clone nils it on the
 	// child) instead of growing forever. Invariant: arenaOwned implies
-	// spansOwned — only New and rebuildArena (which cows the span group)
-	// set it, so cache fills may always write spans.
+	// spansOwned — only New, rebuildArena (which cows the span group) and
+	// PrimeFromKey (which takes a fresh one) set it, so cache fills may
+	// always write spans.
 	fpArena    []byte
 	fpScratch  []byte
 	fpLive     int
@@ -186,10 +187,11 @@ type Machine struct {
 	// duplicates without ever owning spans. procCached/varCached treat a
 	// pending component as uncached; applyStales folds the entries into
 	// the bitmasks when the machine does privatize its span group (every
-	// path to spansOwned runs through it, so a spansOwned — a fortiori
-	// arenaOwned — machine never carries pendings and cache fills may
-	// write bits directly). Fixed arrays, copied wholesale by clone and
-	// detach; overflow falls back to an immediate apply.
+	// path to spansOwned runs through it or, in PrimeFromKey, rewrites
+	// every bit, so a spansOwned — a fortiori arenaOwned — machine never
+	// carries pendings and cache fills may write bits directly). Fixed
+	// arrays, copied wholesale by clone and detach; overflow falls back
+	// to an immediate apply.
 	pStale  [4]int32
 	vStale  [4]int32
 	nPStale int8
@@ -249,9 +251,10 @@ type Machine struct {
 // reusable. The model checker calls Recycle at each BFS level boundary,
 // which matches machine lifetime exactly — machines primed while
 // expanding level L die when level L+1 finishes expanding, two
-// boundaries later. PrimeFingerprints guarantees the lifetime premise
-// by privatizing every mutable group, so no machine ever references a
-// slab chunk of an older generation than its own.
+// boundaries later. PrimeFromKey guarantees the lifetime premise by
+// privatizing every mutable group and copying the key into a fresh
+// arena, so no machine ever references a slab chunk of an older
+// generation than its own.
 type Slab struct {
 	frames slabPool[Frame]
 	anys   slabPool[any]
@@ -461,8 +464,8 @@ func (m *Machine) cowVars() {
 
 // cowSpans makes the fingerprint bookkeeping arrays (procSpan, varSpan,
 // procValid, varValid) private to this machine. Split from the value
-// groups so the per-step cache invalidation and PrimeFingerprints'
-// offset rewrite copy four small pointer-free arrays, not the frame and
+// groups so the per-step cache invalidation and rebuildArena's offset
+// rewrite copy four small pointer-free arrays, not the frame and
 // variable values.
 func (m *Machine) cowSpans() {
 	if m.spansOwned {
@@ -482,6 +485,18 @@ func (m *Machine) cowSpans() {
 		m.spansOwned = true
 		return
 	}
+	ps, vs, pv, vv := m.procSpan, m.varSpan, m.procValid, m.varValid
+	m.allocSpans()
+	copy(m.procSpan, ps)
+	copy(m.varSpan, vs)
+	copy(m.procValid, pv)
+	copy(m.varValid, vv)
+}
+
+// allocSpans points the span group at fresh private arrays of the same
+// shape — carved from the slab when one is set — and takes ownership.
+// Their contents are unspecified: callers overwrite them.
+func (m *Machine) allocSpans() {
 	np, nv := len(m.procSpan), len(m.varSpan)
 	pw, vw := len(m.procValid), len(m.varValid)
 	var blk []fpSpan
@@ -493,11 +508,7 @@ func (m *Machine) cowSpans() {
 		blk = make([]fpSpan, np+nv)
 		vblk = make([]uint64, pw+vw)
 	}
-	copy(blk[:np], m.procSpan)
-	copy(blk[np:], m.varSpan)
 	m.procSpan, m.varSpan = blk[:np:np], blk[np:]
-	copy(vblk[:pw], m.procValid)
-	copy(vblk[pw:], m.varValid)
 	m.procValid, m.varValid = vblk[:pw:pw], vblk[pw:]
 	m.spansOwned = true
 }
@@ -679,7 +690,8 @@ func (m *Machine) staleVar(v int) {
 // applyStales privatizes the span group and folds the deferred
 // invalidations into the validity bitmasks. It is the gateway to
 // spansOwned: rebuildArena and the stale overflow path both come
-// through here, so an owned span group never coexists with pendings.
+// through here, and PrimeFromKey, which rewrites every bit, drops the
+// pendings instead, so an owned span group never coexists with them.
 func (m *Machine) applyStales() {
 	m.cowSpans()
 	for i := int8(0); i < m.nPStale; i++ {
@@ -1180,9 +1192,11 @@ func uvarintLen(n int32) int32 {
 // length prefix immediately before the body, and the span points at the
 // body. appendProcKeyed/appendVarKeyed therefore emit a cached
 // component with one copy of [off-uvarintLen(n), off+n), and runs of
-// windows that are adjacent in the arena — the common case after
-// PrimeFingerprints, which writes them back to back — collapse into a
-// single bulk copy in AppendStateKey's unpermuted fast path.
+// windows that are adjacent in the arena collapse into a single bulk
+// copy in AppendStateKey's unpermuted fast path. A state key is itself
+// this layout — processor windows then variable windows, back to back —
+// which is why PrimeFromKey can adopt a key as a whole arena, and why a
+// key-primed machine's own key is one copy.
 
 // cacheProcFP records win — just encoded into a caller buffer — as
 // processor p's cached window by copying it (length-prefixed) into the
@@ -1230,11 +1244,10 @@ func (m *Machine) arenaReserve(n int) {
 }
 
 // rebuildArena rebases every valid window into a privately owned arena
-// sized for live bytes plus extra headroom, taking ownership. This is
-// both the compactor (owned arena full of garbage) and the rebase step
-// a cloned machine performs before its first cache fill — cowProcs/
-// cowVars here is what makes the arenaOwned ⇒ procsOwned ∧ varsOwned
-// invariant hold.
+// sized for live bytes plus extra headroom, taking ownership. In the
+// program it is the compactor of an owned arena full of garbage; it
+// equally rebases a clone-shared arena onto a private one, which the
+// re-encoding oracle of the tests relies on.
 func (m *Machine) rebuildArena(extra int) {
 	// Rewriting span offsets needs only the span group privatized — the
 	// frame and variable values are untouched. Deferred invalidations
@@ -1256,14 +1269,7 @@ func (m *Machine) rebuildArena(extra int) {
 	need := live + extra
 	dst := m.fpScratch[:0]
 	if cap(dst) < need {
-		if s := m.slab; s != nil {
-			// Kept machines' arenas are frozen after priming (children
-			// never append to an arena they don't own), so a tight carve
-			// is safe; run-mode machines keep the doubling growth.
-			dst = s.bytes.take(need+64, 16384)[:0]
-		} else {
-			dst = make([]byte, 0, 2*need+64)
-		}
+		dst = make([]byte, 0, 2*need+64)
 	}
 	// Valid windows that sit back to back in the source arena move as
 	// single runs: after a batch step all but the few stale components
@@ -1316,13 +1322,17 @@ func (m *Machine) rebuildArena(extra int) {
 	m.arenaOwned = true
 }
 
-// PrimeFingerprints re-encodes every stale component into a privately
-// owned arena so subsequent AppendStateKey calls are pure window copies.
-// The model checker calls this once per state it keeps: the one rebase
-// replaces the per-component string materializations the encode path
-// used to pay, and children cloned from a primed machine inherit every
-// window read-only.
-func (m *Machine) PrimeFingerprints() {
+// PrimeFromKey rebases the machine onto a private fingerprint arena
+// holding key, with every window valid, so subsequent AppendStateKey
+// calls are pure window copies. key must be the machine's own unpermuted
+// AppendStateKey bytes, which already are the arena layout: the
+// uvarint-prefixed processor windows, then the variable windows, back to
+// back. Priming is therefore one copy plus a walk of the 2n length
+// prefixes; nothing is re-encoded. The model checker calls this once per
+// state it keeps, with the key its expansion just wrote, and children
+// cloned from the primed machine inherit every window read-only. It
+// panics unless the prefixes frame exactly len(key) bytes.
+func (m *Machine) PrimeFromKey(key []byte) {
 	// A kept machine is about to parent whole batches of clones: fold
 	// its step's frame/variable overrides into privately owned arrays so
 	// children inherit clean shared state (an inherited override would
@@ -1334,37 +1344,64 @@ func (m *Machine) PrimeFingerprints() {
 	// costs a small memmove, not an allocation.
 	m.cowProcs()
 	m.cowVars()
-	if !m.arenaOwned {
-		m.rebuildArena(64)
+	// Every span and validity bit is rewritten below: the span group
+	// needs private arrays but not their old contents, and pending
+	// invalidations are moot.
+	if !m.spansOwned {
+		m.allocSpans()
 	}
-	for p := range m.frames {
-		if m.procCached(p) {
-			continue
+	m.nPStale, m.nVStale = 0, 0
+	var arena []byte
+	if s := m.slab; s != nil {
+		// Kept machines' arenas are frozen after priming (children never
+		// append to an arena they don't own), so an exact carve is safe.
+		arena = s.bytes.take(len(key), 16384)
+	} else {
+		arena = make([]byte, len(key))
+	}
+	copy(arena, key)
+	off := primeSpans(arena, 0, m.procSpan, m.procValid)
+	off = primeSpans(arena, off, m.varSpan, m.varValid)
+	if off != len(arena) {
+		panic(fmt.Sprintf("machine: PrimeFromKey: %d-byte key frames %d bytes of components", len(arena), off))
+	}
+	if m.arenaOwned {
+		m.fpScratch = m.fpArena[:0] // ping-pong: old arena becomes scratch
+	} else {
+		m.fpScratch = nil // old arena is shared — never write into it
+	}
+	m.fpArena = arena
+	m.fpLive = len(arena)
+	m.arenaOwned = true
+}
+
+// primeSpans points spans at the consecutive uvarint-prefixed windows of
+// arena starting at off, marks every one valid, and returns the offset
+// past the last window. It panics on a prefix that is malformed or runs
+// past the arena.
+func primeSpans(arena []byte, off int, spans []fpSpan, valid []uint64) int {
+	for i := range spans {
+		if off >= len(arena) {
+			panic(fmt.Sprintf("machine: PrimeFromKey: %d-byte key ends before component %d", len(arena), i))
 		}
-		m.arenaReserve(48)
-		start := len(m.fpArena)
-		m.fpArena = append(m.fpArena, 0) // length-prefix placeholder
-		m.fpArena = m.appendProcFP(m.fpArena, p)
-		n := int32(len(m.fpArena) - start - 1)
-		m.fpArena = fixupLenPrefix(m.fpArena, start+1)
-		m.procSpan[p] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
-		m.procValid[p>>6] |= 1 << uint(p&63)
-		m.fpLive += len(m.fpArena) - start
-	}
-	for v := range m.varVal {
-		if m.varCached(v) {
-			continue
+		n, w := uint64(arena[off]), 1
+		if n >= 0x80 { // windows of 128 bytes or more
+			n, w = binary.Uvarint(arena[off:])
 		}
-		m.arenaReserve(24)
-		start := len(m.fpArena)
-		m.fpArena = append(m.fpArena, 0) // length-prefix placeholder
-		m.fpArena = m.appendVarFP(m.fpArena, v)
-		n := int32(len(m.fpArena) - start - 1)
-		m.fpArena = fixupLenPrefix(m.fpArena, start+1)
-		m.varSpan[v] = fpSpan{off: int32(start) + uvarintLen(n), n: n}
-		m.varValid[v>>6] |= 1 << uint(v&63)
-		m.fpLive += len(m.fpArena) - start
+		if w <= 0 || n > uint64(len(arena)-off-w) {
+			panic(fmt.Sprintf("machine: PrimeFromKey: bad length prefix at byte %d of %d", off, len(arena)))
+		}
+		off += w
+		spans[i] = fpSpan{off: int32(off), n: int32(n)}
+		off += int(n)
 	}
+	for i := range valid {
+		valid[i] = ^uint64(0)
+	}
+	if r := len(spans) & 63; r != 0 {
+		valid[len(valid)-1] = 1<<uint(r) - 1
+	}
+	return off
 }
 
 // ProcFingerprint returns a canonical encoding of processor p's state
@@ -1596,7 +1633,7 @@ func (m *Machine) AppendStateKey(buf []byte, procAt, varAt []int) []byte {
 
 // appendStateKeyFast is the unpermuted AppendStateKey: identical bytes,
 // but runs of cached components whose prefixed windows sit back to back
-// in the arena (the layout PrimeFingerprints produces) are emitted as
+// in the arena (the layout PrimeFromKey produces) are emitted as
 // one bulk copy instead of one copy per component. A batch-stepped
 // child typically re-encodes its ≤1 touched frame and ≤2 variables and
 // bulk-copies everything between them.
@@ -1826,7 +1863,7 @@ func valueForCanon(v any) any {
 //
 // The fingerprint arena is frozen on both sides: neither machine may
 // append to the shared arena, so cache fills stop until one rebases
-// onto a private arena (PrimeFingerprints / rebuildArena). Still-valid
+// onto a private arena (PrimeFromKey / rebuildArena). Still-valid
 // windows keep being served read-only from the shared arena — this is
 // what lets W sibling clones of one parent re-encode only the ≤1 frame
 // and ≤2 variables their step touched while copying every other

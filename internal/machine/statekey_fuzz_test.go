@@ -9,6 +9,7 @@ package machine_test
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simsym/internal/dining"
@@ -64,6 +65,13 @@ func fuzzTopology(t testing.TB, sel uint8) *system.System {
 //     drawn the way the statistical checker draws them — a PRNG stream
 //     seeded per sample index (mc.SampleSeed) — so the arena's warm
 //     paths are fuzzed on the exact step distributions mc.Sample runs.
+//  4. Priming: a machine primed from its own key (PrimeFromKey, the
+//     model checker's primer) and one primed by re-encoding (the
+//     PrimeFingerprints oracle) give the same keys, plain and relabeled,
+//     the same component fingerprints and the same one-step child keys
+//     (machine.CheckPrimedAlike) — on the warm run, a cold half-way
+//     replay and the sampled run. Half the inputs widen every initial
+//     state past 128 bytes, so windows take multi-byte length prefixes.
 func FuzzStateKeyOracle(f *testing.F) {
 	for topo := uint8(0); topo < 6; topo++ {
 		for is := uint8(0); is < 3; is++ {
@@ -82,6 +90,9 @@ func FuzzStateKeyOracle(f *testing.F) {
 			t.Skip("generator rejected the shape")
 		}
 		perm := system.Permutation{ProcPerm: rng.Perm(s.NumProcs()), VarPerm: rng.Perm(s.NumVars())}
+		if rng.Intn(2) == 0 {
+			s = widenInits(s)
+		}
 		s2, err := system.Apply(s, perm)
 		if err != nil {
 			t.Fatal(err)
@@ -179,5 +190,29 @@ func FuzzStateKeyOracle(f *testing.F) {
 		if warm.FingerprintOracle() != cold.FingerprintOracle() {
 			t.Fatalf("sampled schedule: oracle strings diverged between warm and cold runs")
 		}
+
+		// 4. Key priming vs. the re-encoding oracle.
+		half, _ := run(s, steps/2, nil, false)
+		for what, pm := range map[string]*machine.Machine{"warm run": m, "half replay": half, "sampled run": warm} {
+			if err := machine.CheckPrimedAlike(pm, pm.Clone().AppendStateKey(nil, nil, nil), invP, invV); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
 	})
+}
+
+// widenInits returns a copy of s whose every initial state is extended
+// past 128 bytes (distinct inits stay distinct), so every processor
+// window and, under Q, every variable window needs a two-byte length
+// prefix.
+func widenInits(s *system.System) *system.System {
+	w := s.Clone()
+	pad := strings.Repeat("~", 128)
+	for p := range w.ProcInit {
+		w.ProcInit[p] += pad
+	}
+	for v := range w.VarInit {
+		w.VarInit[v] += pad
+	}
+	return w
 }

@@ -53,7 +53,7 @@ type stateIndex struct {
 	shardShift uint // shard id = hash >> shardShift (len(shards) > 1)
 	// where maps gid-baseID to its shard and shard-local entry index,
 	// packed shard<<48 | idx. Dense: one word per visited state.
-	where  []uint64
+	where  table[uint64]
 	baseID int64 // first gid assigned; nonzero only in boundary tests
 
 	hotCapBytes int64  // spill threshold over all shards; 0 = never spill
@@ -73,7 +73,7 @@ type stateIndex struct {
 // the coordinator otherwise.
 type indexShard struct {
 	buckets bucketTable // full key hash -> shard-local entry indices
-	entries []entry
+	entries table[entry]
 	chunks  [][]byte // chunk i covers logical offsets [i<<chunkShift, ...)
 	used    int64    // logical end offset of written bytes
 	bound   int64    // offsets below bound are on disk, chunks nil-ed
@@ -257,7 +257,7 @@ func (t *stateIndex) shardOf(hash uint64) int {
 }
 
 // nextGID is the id the next committed state will receive.
-func (t *stateIndex) nextGID() int64 { return t.baseID + int64(len(t.where)) }
+func (t *stateIndex) nextGID() int64 { return t.baseID + int64(t.where.len()) }
 
 // lookupHashed reports whether key (with its precomputed hash) is
 // already indexed, and its id if so. Coordinator-only: comparing against
@@ -273,7 +273,7 @@ func (t *stateIndex) lookupHashed(key []byte, hash uint64) (gid int64, ok bool, 
 		if s.hash != hash {
 			continue
 		}
-		e := &sh.entries[s.ref-1]
+		e := sh.entries.at(int(s.ref - 1))
 		eq, err := t.entryEqual(sh, e, key)
 		if err != nil {
 			return 0, false, err
@@ -313,9 +313,9 @@ func (t *stateIndex) entryEqual(sh *indexShard, e *entry, key []byte) (bool, err
 // arena with stable-arena semantics — earlier slices handed out from the
 // same arena remain valid. Coordinator-only.
 func (t *stateIndex) ancestorFor(gid int64, arena *[]byte) (keyLoc, []byte, error) {
-	w := t.where[gid-t.baseID]
+	w := *t.where.at(int(gid - t.baseID))
 	sh := &t.shards[w>>locShift]
-	e := &sh.entries[w&locMask]
+	e := sh.entries.at(int(w & locMask))
 	loc := keyLoc{at: w&^locMask | uint64(e.off), n: e.n}
 	if e.ancN > 0 {
 		loc = keyLoc{at: e.anc, n: e.ancN}
@@ -344,8 +344,8 @@ func (t *stateIndex) insert(key []byte, hash uint64, anc keyLoc, ancKey []byte) 
 func (t *stateIndex) commitStaged(si int, ei int64) int64 {
 	sh := &t.shards[si]
 	gid := t.nextGID()
-	sh.entries[ei].gid = gid
-	t.where = append(t.where, uint64(si)<<locShift|uint64(ei))
+	sh.entries.at(int(ei)).gid = gid
+	t.where.push(uint64(si)<<locShift | uint64(ei))
 	return gid
 }
 
@@ -371,8 +371,7 @@ func (sh *indexShard) stage(key []byte, hash uint64, anc keyLoc, ancKey []byte) 
 	}
 	sh.storedBytes += int64(len(stored))
 	sh.logicalBytes += int64(len(key))
-	ei := int64(len(sh.entries))
-	sh.entries = append(sh.entries, e)
+	ei := int64(sh.entries.push(e))
 	sh.buckets.add(hash, ei)
 	return ei
 }
@@ -585,19 +584,19 @@ func (t *stateIndex) statsSnapshot() indexStats {
 }
 
 // memBytes estimates the index's resident memory footprint from
-// capacities, not lengths: allocated chunk bytes (a half-filled chunk
-// costs its full size), the entry tables' capacity, the bucket slices'
-// exact capacity (tracked as they grow), the bucket maps' per-key
-// overhead, and the dense id table. Spilled bytes live on disk and are
-// deliberately excluded. Keeping this honest is what lets MaxMemBytes
-// degrade into a Partial result instead of an OOM.
+// capacities, not lengths: allocated key chunk bytes (a half-filled
+// chunk costs its full size), the entry tables' allocated chunks, the
+// bucket directories' slots, and the dense id table's chunks. Spilled
+// bytes live on disk and are deliberately excluded. Keeping this honest
+// is what lets MaxMemBytes degrade into a Partial result instead of an
+// OOM.
 func (t *stateIndex) memBytes() int64 {
-	total := int64(cap(t.where)) * 8
+	total := t.where.capBytes(8)
 	total += int64(cap(t.scrA) + cap(t.scrB))
 	for i := range t.shards {
 		sh := &t.shards[i]
 		total += sh.hotBytes()
-		total += int64(cap(sh.entries)) * entrySize
+		total += sh.entries.capBytes(entrySize)
 		total += int64(len(sh.buckets.slots)) * bucketSlotSize
 		total += int64(cap(sh.scratch))
 	}

@@ -21,9 +21,9 @@ func testKey(vals ...string) []byte {
 
 // entryAt resolves a committed gid to its shard and entry.
 func (t *stateIndex) entryAt(gid int64) (*indexShard, *entry) {
-	loc := t.where[gid-t.baseID]
+	loc := *t.where.at(int(gid - t.baseID))
 	sh := &t.shards[loc>>locShift]
-	return sh, &sh.entries[loc&locMask]
+	return sh, sh.entries.at(int(loc & locMask))
 }
 
 // mustInsert inserts a key known to be absent and returns its gid. A
@@ -125,8 +125,8 @@ func TestIndexMemBytesCountsCapacities(t *testing.T) {
 	if got, wantMin := idx2.memBytes(), int64(len(sh.buckets.slots))*bucketSlotSize; got < wantMin {
 		t.Errorf("memBytes = %d must cover the bucket directory's %d bytes", got, wantMin)
 	}
-	if got := idx2.memBytes(); got < int64(cap(sh.entries))*entrySize {
-		t.Errorf("memBytes = %d must cover the entries table capacity %d", got, cap(sh.entries)*entrySize)
+	if got, wantMin := idx2.memBytes(), sh.entries.capBytes(entrySize); got < wantMin {
+		t.Errorf("memBytes = %d must cover the entries table's %d allocated bytes", got, wantMin)
 	}
 }
 
@@ -267,7 +267,7 @@ func TestIndexShardRouting(t *testing.T) {
 	}
 	used := 0
 	for i := range idx.shards {
-		if len(idx.shards[i].entries) > 0 {
+		if idx.shards[i].entries.len() > 0 {
 			used++
 		}
 	}
@@ -371,7 +371,7 @@ func TestIndexHashCollisionsStayExact(t *testing.T) {
 	for j, want := range []int64{1, -1, 3} {
 		kind, ei := out[j]>>48, out[j]&(1<<48-1)
 		switch {
-		case want >= 0 && (kind != outHit || sidx.shards[si].entries[ei].gid != want):
+		case want >= 0 && (kind != outHit || sidx.shards[si].entries.at(int(ei)).gid != want):
 			t.Errorf("span %d: outcome %#x, want a hit on gid %d", j, out[j], want)
 		case want < 0 && kind != outStaged:
 			t.Errorf("span %d: outcome %#x, want staged", j, out[j])
@@ -395,7 +395,7 @@ func TestIndexHashCollisionsStayExact(t *testing.T) {
 	out = stage(stored[2], child, absent)
 	// A full entry met before the delta one on the probe chain is still
 	// an exact hit; a span that reaches the delta entry must defer.
-	if o := out[0]; o != outDeferred && (o>>48 != outHit || sidx.shards[si].entries[o&(1<<48-1)].gid != 2) {
+	if o := out[0]; o != outDeferred && (o>>48 != outHit || sidx.shards[si].entries.at(int(o&(1<<48-1))).gid != 2) {
 		t.Errorf("span 0: outcome %#x, want deferred or a hit on gid 2", o)
 	}
 	for j, o := range out[1:] {

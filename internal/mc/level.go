@@ -176,7 +176,7 @@ func (c *checker) stagePartition(w, stride int, batches []batch, ancLocs []keyLo
 						continue
 					}
 					ei := s.ref - 1
-					e := &sh.entries[ei]
+					e := sh.entries.at(int(ei))
 					if e.ancN > 0 || e.off < sh.bound {
 						// Delta-stored (ancestor may live on another shard)
 						// or spilled: not locally comparable.
@@ -237,7 +237,7 @@ func (c *checker) commitLevel(lo int, batches []batch, ancLocs []keyLoc, ancKeys
 			isNew := false
 			switch out >> 48 {
 			case outHit:
-				gid = c.idx.shards[si].entries[out&(1<<48-1)].gid
+				gid = c.idx.shards[si].entries.at(int(out & (1<<48 - 1))).gid
 			case outStaged:
 				if c.res.StatesExplored >= c.maxStates {
 					return true, c.exhaust("states")
@@ -270,10 +270,10 @@ func (c *checker) commitLevel(lo int, batches []batch, ancLocs []keyLoc, ancKeys
 				continue
 			}
 			// Detach the pool slot onto the heap before adoption; the
-			// pool pointer must not be read past this point (priming the
-			// kept machine rebases span arrays the slot still aliases).
+			// pool pointer must not be read past this point (the kept
+			// machine now owns whatever arrays the slot owned).
 			kept := next.DetachTo(c.newKept())
-			id := c.adopt(kept, curIdx, p)
+			id := c.adopt(kept, b.arena[sp.raw:sp.raw+len(key)], curIdx, p)
 			c.appendSucc(curIdx, id)
 			if v := c.checkState(kept, id); v != nil {
 				c.res.Violation = v

@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 	"unsafe"
@@ -216,10 +217,9 @@ type Result struct {
 }
 
 // node is interned exploration bookkeeping. It holds no pointers, so
-// the nodes slice is never scanned by the garbage collector and grows by
-// a plain copy: successor edges live in the checker's succArena at
-// [succOff, succOff+succN), and the stuck reason is an index into the
-// checker's interned reason table.
+// the nodes table is never scanned by the garbage collector: successor
+// edges live in the checker's succArena at [succOff, succOff+succN), and
+// the stuck reason is an index into the checker's interned reason table.
 type node struct {
 	parent  int   // index of parent node; -1 for root
 	succOff int   // offset of the node's first successor in succArena
@@ -229,11 +229,15 @@ type node struct {
 }
 
 // succSpan locates one successor's key inside a batch arena, along with
-// the key's hash (computed during expansion, off the commit path).
+// the key's hash (computed during expansion, off the commit path). The
+// key at [start, end) is what the index dedups on; raw is where the
+// successor's unpermuted key of the same length starts, the bytes a kept
+// successor is primed from. Without symmetry reduction the two are one
+// span (raw == start).
 type succSpan struct {
-	start, end int
-	hash       uint64
-	selfLoop   bool
+	start, end, raw int
+	hash            uint64
+	selfLoop        bool
 }
 
 // batch is the per-state expansion output: successor machines plus their
@@ -264,7 +268,7 @@ type checker struct {
 	start         time.Time
 	perms         []system.Permutation // non-identity automorphisms
 	idx           *stateIndex
-	nodes         []node
+	nodes         table[node]
 	level         []*machine.Machine
 	levelIdx      []int
 	next          []*machine.Machine
@@ -285,9 +289,10 @@ type checker struct {
 	// succArena holds every node's successor edges. A node's successors
 	// are committed contiguously (the commit pass walks (frontier index,
 	// processor) in canonical order, one node at a time), so each node
-	// records only the offset and count of its window — one amortized
-	// allocation for the whole graph instead of one per node.
-	succArena []int
+	// records only the offset and count of its window. A window never
+	// straddles a chunk: appendSucc reserves nProcs slots — every node's
+	// bound — before a node's first edge, so a window reads as one slice.
+	succArena table[int]
 
 	// stuckReasons interns the StuckBad reasons nodes refer to by index;
 	// entry 0 is "" (not flagged).
@@ -303,9 +308,9 @@ type checker struct {
 	machPrev [][]machine.Machine
 	machFree [][]machine.Machine
 
-	// cowSlab backs the arrays kept machines privatize while being
-	// primed — adopt runs only on the sequential commit pass, so one
-	// slab serves every worker count without synchronization.
+	// cowSlab backs the arrays and fingerprint arenas kept machines take
+	// while being primed — adopt runs only on the sequential commit pass,
+	// so one slab serves every worker count without synchronization.
 	cowSlab machine.Slab
 }
 
@@ -341,11 +346,12 @@ func (c *checker) recycleKept() {
 // commit-order invariant above: a node's window is always the arena
 // tail while it is being appended to.
 func (c *checker) appendSucc(curIdx, id int) {
-	nd := &c.nodes[curIdx]
+	nd := c.nodes.at(curIdx)
 	if nd.succN == 0 {
-		nd.succOff = len(c.succArena)
+		c.succArena.reserve(c.nProcs)
+		nd.succOff = c.succArena.len()
 	}
-	c.succArena = append(c.succArena, id)
+	c.succArena.push(id)
 	nd.succN++
 }
 
@@ -380,9 +386,16 @@ func (c *checker) internStuck(reason string) int32 {
 // ErrBudget (or with a nil error when Options.Partial is set); on
 // machine execution errors the Result is nil.
 func Check(factory func() (*machine.Machine, error), opts Options) (*Result, error) {
+	_, res, err := check(factory, opts)
+	return res, err
+}
+
+// check is Check, also returning the checker so tests can inspect its
+// exploration graph (nil when the factory or symmetry setup fails).
+func check(factory func() (*machine.Machine, error), opts Options) (*checker, *Result, error) {
 	m0, err := factory()
 	if err != nil {
-		return nil, fmt.Errorf("mc: %w", err)
+		return nil, nil, fmt.Errorf("mc: %w", err)
 	}
 	c := &checker{
 		opts:          opts,
@@ -394,6 +407,8 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 		idx:           newStateIndex(opts.Workers, opts.HotIndexBytes, opts.SpillDir),
 	}
 	defer c.idx.release()
+	// A successor window holds up to nProcs edges and must fit a chunk.
+	c.succArena.shift = max(tableShift, uint(bits.Len(uint(c.nProcs))))
 	c.stats = &c.res.Stats
 	c.stats.GroupOrder = 1
 	if c.maxStates <= 0 {
@@ -408,7 +423,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	if opts.SymmetryReduce {
 		auts, err := autgrp.Automorphisms(m0.System(), autgrp.Options{Limit: opts.AutLimit})
 		if err != nil {
-			return nil, fmt.Errorf("mc: symmetry: %w", err)
+			return nil, nil, fmt.Errorf("mc: symmetry: %w", err)
 		}
 		c.stats.GroupOrder = len(auts)
 		for _, a := range auts {
@@ -420,19 +435,17 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 
 	// Root. The initial state is fixed by every automorphism (they
 	// preserve initial values), but canonicalize anyway for uniformity.
+	// The root is primed from its own unpermuted key.
 	opts.Obs.PhaseStart("mc.check")
-	rootKey := m0.AppendStateKey(nil, nil, nil)
+	rawKey := m0.AppendStateKey(nil, nil, nil)
+	rootKey := rawKey
 	if len(c.perms) > 0 {
-		cand := make([]byte, 0, len(rootKey))
-		for _, perm := range c.perms {
-			cand = m0.AppendStateKey(cand[:0], perm.ProcPerm, perm.VarPerm)
-			if bytes.Compare(cand, rootKey) < 0 {
-				rootKey, cand = cand, rootKey
-			}
-		}
+		var b batch
+		b.scratch[1] = slices.Clone(rawKey)
+		rootKey = c.minimizeKey(m0, &b)
 	}
 	c.idx.insert(rootKey, hashKey(rootKey), keyLoc{}, nil)
-	rootIdx := c.adopt(m0, -1, -1)
+	rootIdx := c.adopt(m0, rawKey, -1, -1)
 	if v := c.checkState(m0, rootIdx); v != nil {
 		c.res.Violation = v
 		return c.finish(nil)
@@ -482,7 +495,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 	c.res.Complete = true
 
 	if c.opts.StuckBad != nil {
-		if idx, reason := findStuckComponent(c.nodes, c.succArena); idx >= 0 {
+		if idx, reason := findStuckComponent(&c.nodes, &c.succArena); idx >= 0 {
 			c.res.Violation = &Violation{
 				Reason:   "stuck: " + c.stuckReasons[reason],
 				Schedule: c.scheduleTo(idx),
@@ -494,7 +507,7 @@ func Check(factory func() (*machine.Machine, error), opts Options) (*Result, err
 
 // finish finalizes stats, emits the last progress snapshot, and mirrors
 // the exploration counters into the Result.
-func (c *checker) finish(err error) (*Result, error) {
+func (c *checker) finish(err error) (*checker, *Result, error) {
 	c.stats.StatesExplored = c.res.StatesExplored
 	c.stats.Elapsed = time.Since(c.start)
 	if secs := c.stats.Elapsed.Seconds(); secs > 0 {
@@ -535,7 +548,7 @@ func (c *checker) finish(err error) (*Result, error) {
 		rec.Verdict("mc.check", c.res.Violation == nil, detail)
 		rec.PhaseEnd("mc.check", int64(c.res.StatesExplored))
 	}
-	return c.res, err
+	return c, c.res, err
 }
 
 // expand computes all successors of cur into b: cloned machines plus
@@ -570,31 +583,25 @@ func (c *checker) expand(cur *machine.Machine, b *batch) {
 			b.err = fmt.Errorf("mc: stepping %d: %w", p, err)
 			return
 		}
-		start := len(b.arena)
+		// Encode the raw key straight into the batch arena.
+		raw := len(b.arena)
+		b.arena = next.AppendStateKey(b.arena, nil, nil)
+		start := raw
 		var hash uint64
-		var selfLoop bool
-		if len(c.perms) == 0 {
-			// Encode straight into the batch arena — no scratch bounce.
-			b.arena = next.AppendStateKey(b.arena, nil, nil)
-			key := b.arena[start:]
-			selfLoop = bytes.Equal(key, curKey)
-			if !selfLoop {
-				hash = hashKey(key)
+		selfLoop := bytes.Equal(b.arena[raw:], curKey)
+		if !selfLoop {
+			if len(c.perms) > 0 {
+				// Symmetry mode dedups on the least key over the raw key's
+				// orbit; the raw key stays in the arena to prime the
+				// successor if it is kept.
+				b.scratch[1] = append(b.scratch[1][:0], b.arena[raw:]...)
+				key := c.minimizeKey(next, b)
+				start = len(b.arena)
+				b.arena = append(b.arena, key...)
 			}
-		} else {
-			// Symmetry mode compares the raw key against its whole orbit
-			// before committing one representative to the arena.
-			raw := next.AppendStateKey(b.scratch[1][:0], nil, nil)
-			b.scratch[1] = raw
-			selfLoop = bytes.Equal(raw, curKey)
-			key := raw
-			if !selfLoop {
-				key = c.minimizeKey(next, b)
-				hash = hashKey(key)
-			}
-			b.arena = append(b.arena, key...)
+			hash = hashKey(b.arena[start:])
 		}
-		b.spans = append(b.spans, succSpan{start: start, end: len(b.arena), hash: hash, selfLoop: selfLoop})
+		b.spans = append(b.spans, succSpan{start: start, end: len(b.arena), raw: raw, hash: hash, selfLoop: selfLoop})
 		b.succs = append(b.succs, next)
 	}
 }
@@ -623,16 +630,18 @@ func (c *checker) minimizeKey(m *machine.Machine, b *batch) []byte {
 // Priming here — once per kept state, never per candidate — rebases the
 // machine onto a private fingerprint arena with every window valid, so
 // the next level's expansion reads it (and its own children read the
-// frozen arena) without encoding anything that didn't change.
-func (c *checker) adopt(m *machine.Machine, parent, step int) int {
+// frozen arena) without encoding anything that didn't change. The arena
+// is a copy of rawKey, the machine's unpermuted key, which expansion has
+// already written into the batch arena (the root passes its own), so
+// nothing is encoded twice.
+func (c *checker) adopt(m *machine.Machine, rawKey []byte, parent, step int) int {
 	m.SetSlab(&c.cowSlab)
-	m.PrimeFingerprints()
+	m.PrimeFromKey(rawKey)
 	var stuck int32
 	if c.opts.StuckBad != nil {
 		stuck = c.internStuck(c.opts.StuckBad(m))
 	}
-	id := len(c.nodes)
-	c.nodes = append(c.nodes, node{parent: parent, step: int32(step), stuck: stuck})
+	id := c.nodes.push(node{parent: parent, step: int32(step), stuck: stuck})
 	c.next = append(c.next, m)
 	c.nextIdx = append(c.nextIdx, id)
 	c.res.StatesExplored++
@@ -678,11 +687,11 @@ func (c *checker) pollBudgets() (bool, error) {
 
 // memEstimate approximates the checker's resident footprint: the visited
 // index plus per-node bookkeeping and successor edges. Capacities, not
-// lengths: the nodes slice's and edge arena's grown backing arrays are
-// real memory whether or not they are full yet.
+// lengths: the node and edge tables' allocated chunks are real memory
+// whether or not they are full yet.
 func (c *checker) memEstimate() int64 {
-	return c.idx.memBytes() + int64(cap(c.nodes))*int64(unsafe.Sizeof(node{})) +
-		int64(cap(c.succArena))*int64(unsafe.Sizeof(int(0)))
+	return c.idx.memBytes() + c.nodes.capBytes(int64(unsafe.Sizeof(node{}))) +
+		c.succArena.capBytes(int64(unsafe.Sizeof(int(0))))
 }
 
 // exhaust records which budget ended the run; with Options.Partial the
@@ -698,9 +707,10 @@ func (c *checker) exhaust(kind string) error {
 
 func (c *checker) scheduleTo(idx int) []int {
 	var rev []int
-	for idx >= 0 && c.nodes[idx].parent >= 0 {
-		rev = append(rev, int(c.nodes[idx].step))
-		idx = c.nodes[idx].parent
+	for idx >= 0 && c.nodes.at(idx).parent >= 0 {
+		nd := c.nodes.at(idx)
+		rev = append(rev, int(nd.step))
+		idx = nd.parent
 	}
 	out := make([]int, len(rev))
 	for i := range rev {
@@ -736,56 +746,57 @@ func isIdentity(perm system.Permutation) bool {
 // findStuckComponent runs Tarjan's SCC algorithm (iteratively) and
 // returns a representative node of the first terminal SCC whose states
 // are all flagged stuck, with the stuck-reason index of its first
-// flagged member, or (-1, 0). Node v's edges are
-// succs[nodes[v].succOff:][:nodes[v].succN]. Under symmetry reduction
+// flagged member, or (-1, 0). Node v's edges are the succs window of
+// nodes[v].succN edges at nodes[v].succOff. Under symmetry reduction
 // the graph is the orbit quotient; a terminal all-bad component there
 // corresponds to one in the full graph because the stuck predicate is
 // automorphism-invariant.
-func findStuckComponent(nodes []node, succs []int) (int, int32) {
-	n := len(nodes)
+func findStuckComponent(nodes *table[node], succs *table[int]) (int, int32) {
+	n := nodes.len()
+	// state[v] is -1 until v is visited, v's DFS number while v is on
+	// the Tarjan stack, and -2-c once v belongs to component c. A
+	// visited node stays on the stack exactly until its component is
+	// popped, so this one table stands in for the DFS numbers, the
+	// on-stack flags and the component ids.
 	const unvisited = -1
-	indexOf := make([]int, n)
+	state := make([]int, n)
 	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range indexOf {
-		indexOf[i] = unvisited
-		comp[i] = -1
+	for i := range state {
+		state[i] = unvisited
 	}
 	var stack []int
 	counter := 0
 	nComps := 0
 
+	// A frame holds the edges of v not yet visited: its successor
+	// window, one slice because windows never straddle a chunk.
 	type frame struct {
-		v, childPos int
+		v     int
+		edges []int
+	}
+	enter := func(v int) frame {
+		state[v] = counter
+		low[v] = counter
+		counter++
+		stack = append(stack, v)
+		nd := nodes.at(v)
+		return frame{v: v, edges: succs.window(nd.succOff, int(nd.succN))}
 	}
 	for start := 0; start < n; start++ {
-		if indexOf[start] != unvisited {
+		if state[start] != unvisited {
 			continue
 		}
-		callStack := []frame{{v: start}}
-		indexOf[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
+		callStack := []frame{enter(start)}
 		for len(callStack) > 0 {
 			fr := &callStack[len(callStack)-1]
 			v := fr.v
-			if nd := &nodes[v]; fr.childPos < int(nd.succN) {
-				w := succs[nd.succOff+fr.childPos]
-				fr.childPos++
-				if indexOf[w] == unvisited {
-					indexOf[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					callStack = append(callStack, frame{v: w})
-				} else if onStack[w] {
-					if indexOf[w] < low[v] {
-						low[v] = indexOf[w]
-					}
+			if len(fr.edges) > 0 {
+				w := fr.edges[0]
+				fr.edges = fr.edges[1:]
+				if sw := state[w]; sw == unvisited {
+					callStack = append(callStack, enter(w))
+				} else if sw >= 0 && sw < low[v] { // w is on the stack
+					low[v] = sw
 				}
 				continue
 			}
@@ -797,12 +808,11 @@ func findStuckComponent(nodes []node, succs []int) (int, int32) {
 					low[parent] = low[v]
 				}
 			}
-			if low[v] == indexOf[v] {
+			if low[v] == state[v] {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComps
+					state[w] = -2 - nComps
 					if w == v {
 						break
 					}
@@ -823,19 +833,19 @@ func findStuckComponent(nodes []node, succs []int) (int, int32) {
 		allBad[c] = true
 		repr[c] = -1
 	}
-	for v := range nodes {
-		c := comp[v]
+	for v := 0; v < n; v++ {
+		c := -2 - state[v]
 		if repr[c] == -1 {
 			repr[c] = v
 		}
-		nd := &nodes[v]
+		nd := nodes.at(v)
 		if nd.stuck == 0 {
 			allBad[c] = false
 		} else if reason[c] == 0 {
 			reason[c] = nd.stuck
 		}
-		for _, w := range succs[nd.succOff : nd.succOff+int(nd.succN)] {
-			if comp[w] != c {
+		for _, w := range succs.window(nd.succOff, int(nd.succN)) {
+			if -2-state[w] != c {
 				terminal[c] = false
 			}
 		}

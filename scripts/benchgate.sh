@@ -5,10 +5,14 @@
 # four-philosopher table), compared against the committed baseline in
 # scripts/bench_baseline.txt.
 #
-# Two classes of check, with very different tolerances:
+# Three classes of check, with very different tolerances:
 #   * allocs/op is host-independent and pinned tightly: at most
 #     baseline*1.10+2, and BenchmarkFingerprint/warm must be exactly 0
 #     (the arena's whole contract).
+#   * B/op, where a baseline row pins it (optional fourth column), is
+#     host-independent too and gated at baseline*1.10: it catches bytes
+#     that come back without extra allocations, such as per-state tables
+#     regrown by append instead of chunked.
 #   * ns/op varies wildly across CI hosts, so it only gates
 #     order-of-magnitude regressions: fail at > baseline*4. Real
 #     performance work is measured with interleaved same-host A/B runs
@@ -33,6 +37,7 @@ awk -v baseline="$BASELINE" '
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")     ns[name] = $(i - 1)
         if ($i == "allocs/op") al[name] = $(i - 1)
+        if ($i == "B/op")      by[name] = $(i - 1)
     }
 }
 END {
@@ -40,7 +45,7 @@ END {
     while ((getline line < baseline) > 0) {
         if (line ~ /^#/ || line ~ /^[ \t]*$/) continue
         split(line, f, /[ \t]+/)
-        bname = f[1]; bns = f[2] + 0; bal = f[3] + 0
+        bname = f[1]; bns = f[2] + 0; bal = f[3] + 0; bby = f[4]
         if (!(bname in ns)) {
             printf "FAIL %s: benchmark did not run\n", bname
             fails++
@@ -58,7 +63,16 @@ END {
             printf "FAIL %s: %.0f ns/op, baseline %.0f (max %.0f)\n", bname, ns[bname], bns, bns * 4
             fails++
         }
-        printf "ok   %s: %.0f ns/op (baseline %.0f), %s allocs/op (baseline %d)\n", bname, ns[bname], bns, al[bname], bal
+        if (bby != "" && !(bname in by)) {
+            printf "FAIL %s: no B/op reported\n", bname
+            fails++
+        } else if (bby != "" && by[bname] + 0 > bby * 1.10) {
+            printf "FAIL %s: %s B/op, baseline %d (max %.0f)\n", bname, by[bname], bby, bby * 1.10
+            fails++
+        }
+        bytes = ""
+        if (bby != "") bytes = sprintf(", %s B/op (baseline %d)", by[bname], bby)
+        printf "ok   %s: %.0f ns/op (baseline %.0f), %s allocs/op (baseline %d)%s\n", bname, ns[bname], bns, al[bname], bal, bytes
     }
     if (fails > 0) {
         printf "%d bench gate failure(s)\n", fails
